@@ -9,7 +9,8 @@
 //
 // Lines that are not benchmark results (build noise, PASS/ok, custom
 // log output) are ignored; `pkg:` headers attribute each benchmark to
-// its package.
+// its package. Custom metrics reported with b.ReportMetric land in each
+// benchmark's "metrics" map, keyed by unit.
 //
 // With -baseline, benchjson runs in compare mode instead: it diffs a
 // fresh report (-against, or one parsed from -in/stdin) against a
@@ -43,6 +44,9 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// Metrics holds the custom b.ReportMetric values (req/wave,
+	// tmplhit/op, ...) keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Report is the archived artifact.
@@ -225,6 +229,11 @@ func parse(r io.Reader, sha string) (*Report, error) {
 				b.BytesPerOp = v
 			case "allocs/op":
 				b.AllocsPerOp = v
+			default:
+				if b.Metrics == nil {
+					b.Metrics = map[string]float64{}
+				}
+				b.Metrics[fields[i+1]] = v
 			}
 		}
 		rep.Benchmarks = append(rep.Benchmarks, b)

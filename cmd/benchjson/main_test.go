@@ -86,3 +86,26 @@ BenchmarkWorkloadScheduler/sched=on/parallel=2-8   	      20	  13190650 ns/op	  
 		t.Errorf("values = %+v", b)
 	}
 }
+
+// TestParseKeepsCustomMetrics: b.ReportMetric values survive into the
+// report, keyed by unit, next to the standard columns.
+func TestParseKeepsCustomMetrics(t *testing.T) {
+	in := strings.NewReader(`
+pkg: reopt
+BenchmarkTemplateWorkload/share=on-2   	      30	  36190650 ns/op	         1.480 req/wave	         0.8125 tmplhit/op	 5701053 B/op	   32809 allocs/op
+`)
+	rep, err := parse(in, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 1 {
+		t.Fatalf("parsed %d benchmarks", len(rep.Benchmarks))
+	}
+	b := rep.Benchmarks[0]
+	if b.NsPerOp != 36190650 || b.BytesPerOp != 5701053 || b.AllocsPerOp != 32809 {
+		t.Errorf("standard values = %+v", b)
+	}
+	if len(b.Metrics) != 2 || b.Metrics["req/wave"] != 1.48 || b.Metrics["tmplhit/op"] != 0.8125 {
+		t.Errorf("metrics = %v, want req/wave=1.48 tmplhit/op=0.8125", b.Metrics)
+	}
+}

@@ -25,9 +25,10 @@ package executor
 // batch, not from any one scan.
 //
 // Determinism: every parallel unit writes private state (a span of a
-// task's bitmap or selection vector, a private probe part), and all
-// merges happen sequentially in task creation order with spans merged
-// in ascending row order — so counts and materialized columns are
+// task's bitmap or selection vector, a span's private row-id pairs, a
+// disjoint range of an output column), spans land at prefix-sum offsets
+// in ascending row order, and NULL bitmap words are set sequentially
+// after each gather — so counts and materialized columns are
 // byte-identical to running the single-plan engine over the same plans
 // sequentially, at every worker count and cache state.
 
@@ -293,9 +294,9 @@ func settleWave(wave []*batchTask, users map[*batchTask][]int, accounts []memAcc
 // found) once lands in every requester's cache.
 type cacheRef struct {
 	cache *SkeletonCache
-	key   string             // sub-result key under cache
-	tkey  string             // hash-table key under cache (join waves)
-	table map[uint64][]int32 // cached table found under cache, if any
+	key   string     // sub-result key under cache
+	tkey  string     // hash-table key under cache (join waves)
+	table *hashTable // cached table found under cache, if any
 }
 
 // batchTask is one deduplicated logical subtree of the batch. Exactly
@@ -337,22 +338,23 @@ type batchTask struct {
 
 	// Wave-execution scratch, released in the wave's final stage. A
 	// scan task holds one scanShard per sample shard (exactly one with
-	// the monolithic layout); shard outputs merge in shard order into
-	// cols/selTotal before the final stage.
+	// the monolithic layout); shard outputs land in shard order in
+	// cols/selTotal before the final stage. A join task's probe spans
+	// fill parts, which place their pairs in cols at prefix-sum offsets.
 	shards   []scanShard
 	selTotal int
-	cols     [][]rel.Value
-	table    map[uint64][]int32
+	cols     []*storage.ColData
+	table    *hashTable
 	parts    []probePart
 	pspans   []span
 }
 
-// scanShard is the per-shard scratch of one scan task: the shard's
-// column store view, its compiled filter passes (passes close over the
-// shard's column slices, so compilation is per shard), its bitmaps and
-// selection vector, and the shard's destination offset in the task's
-// merged output columns — the precomputed form of the shard-order merge.
-type scanShard struct {
+// shardScan is the filter state of one sample shard, shared by solo
+// scan tasks and template groups: the shard's column store view, its
+// compiled filter passes (passes close over the shard's column slices,
+// so compilation is per shard), its bitmaps, per-span survivor counts,
+// and the selection vector they materialize into.
+type shardScan struct {
 	cs     *storage.ColStore
 	nrows  int
 	passes []scanPass
@@ -360,7 +362,81 @@ type scanShard struct {
 	spans  []span
 	cnts   []int
 	sel    []int32
-	off    int
+}
+
+// scanShard is one scan task's shardScan plus the shard's destination
+// offset in the task's output columns — the precomputed form of the
+// shard-order merge.
+type scanShard struct {
+	shardScan
+	off int
+}
+
+// filterUnits appends one unit per span of the shard: it evaluates the
+// filter passes into the shard's bitmap and counts the span's
+// survivors, or — without filters — writes the identity selection.
+// Every unit first fires fault point p (tagged sig) and the shard unit
+// (tagged sig#shard=si).
+func (sh *shardScan) filterUnits(units []workUnit, chunk int, fail func(*capturedPanic), p faultinject.Point, sig string, si int) []workUnit {
+	sh.spans = chunkSpans(sh.nrows, chunk)
+	if len(sh.passes) == 0 {
+		sh.sel = make([]int32, sh.nrows)
+	} else {
+		sh.bm = vec.NewBitmap(sh.nrows)
+		if len(sh.passes) > 1 {
+			sh.fb = vec.NewBitmap(sh.nrows)
+		}
+		sh.cnts = make([]int, len(sh.spans))
+	}
+	for spi := range sh.spans {
+		spi := spi
+		units = append(units, workUnit{fail: fail, run: func() {
+			if faultinject.Active() {
+				faultinject.Fire(p, sig)
+				faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", sig, si))
+			}
+			s := sh.spans[spi]
+			if len(sh.passes) == 0 {
+				for i := s.lo; i < s.hi; i++ {
+					sh.sel[i] = int32(i)
+				}
+				return
+			}
+			sh.passes[0](sh.bm, s.lo, s.hi)
+			for _, pass := range sh.passes[1:] {
+				pass(sh.fb, s.lo, s.hi)
+				sh.bm.And(sh.fb, s.lo, s.hi)
+			}
+			sh.cnts[spi] = sh.bm.Count(s.lo, s.hi)
+		}})
+	}
+	return units
+}
+
+// selUnits allocates a filtered shard's selection vector and appends
+// one unit per non-empty span materializing its survivors at the span's
+// prefix-sum offset, so the selection ascends regardless of completion
+// order. Identity shards already hold their selection.
+func (sh *shardScan) selUnits(units []workUnit, fail func(*capturedPanic)) []workUnit {
+	if len(sh.passes) == 0 {
+		return units
+	}
+	total := 0
+	for _, c := range sh.cnts {
+		total += c
+	}
+	sh.sel = make([]int32, total)
+	off := 0
+	for spi, cnt := range sh.cnts {
+		if cnt > 0 {
+			s, dst := sh.spans[spi], sh.sel[off:off:off+cnt]
+			units = append(units, workUnit{fail: fail, run: func() {
+				sh.bm.AppendIndices(dst, s.lo, s.hi)
+			}})
+		}
+		off += cnt
+	}
+	return units
 }
 
 // addCache registers one more requester cache on the task (and,
@@ -446,10 +522,13 @@ func (t *batchTask) failedPanic() *capturedPanic {
 	return t.failed.Load()
 }
 
-// probePart is one span's private probe output.
+// probePart is one probe span's private output: its match count, its
+// matches as row-id pairs (empty for count-only joins), and its offset
+// in the task's output columns.
 type probePart struct {
 	count int
-	cols  [][]rel.Value
+	off   int
+	pairs pairBuf
 }
 
 // batchBuilder deduplicates subtrees across the submitted plans.
@@ -691,18 +770,12 @@ type scanGroup struct {
 	ok      bool // union fold has succeeded so far
 }
 
-// groupShard is the per-shard scratch of one shared template scan; the
-// group-level counterpart of scanShard, plus the filter columns
-// gathered at the union selection that member refinement evaluates.
+// groupShard is the per-shard scratch of one shared template scan:
+// the union filter's shardScan (its sel is the union selection) plus
+// the filter columns gathered there, which member refinement evaluates.
 type groupShard struct {
-	cs     *storage.ColStore
-	nrows  int
-	passes []scanPass
-	bm, fb *vec.Bitmap
-	spans  []span
-	cnts   []int
-	usel   []int32
-	fcols  []*storage.ColData
+	shardScan
+	fcols []*storage.ColData
 }
 
 // failAll attributes a shared-scan failure to every member: the union
@@ -797,11 +870,12 @@ func (t *batchTask) storeTemplate() {
 	}
 	fcols := make([]*storage.ColData, len(t.tmpl.fpos))
 	for j, pos := range t.tmpl.fpos {
-		dst := newTemplateCol(t.shards[0].cs.Col(pos), t.selTotal)
+		dst := newColLike(t.shards[0].cs.Col(pos), t.selTotal)
 		for si := range t.shards {
 			sh := &t.shards[si]
-			gatherTemplateCol(dst, sh.cs.Col(pos), sh.sel, 0, len(sh.sel), sh.off)
+			gatherCol(dst, sh.cs.Col(pos), sh.sel, 0, len(sh.sel), sh.off)
 		}
+		markNulls(dst, 0, t.selTotal)
 		fcols[j] = dst
 	}
 	for i := range t.crefs {
@@ -920,141 +994,37 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 		if t.group != nil {
 			continue
 		}
-		t := t
 		for si := range t.shards {
-			si, sh := si, &t.shards[si]
-			sh.spans = chunkSpans(sh.nrows, chunk)
-			if len(sh.passes) > 0 {
-				sh.bm = vec.NewBitmap(sh.nrows)
-				if len(sh.passes) > 1 {
-					sh.fb = vec.NewBitmap(sh.nrows)
-				}
-				sh.cnts = make([]int, len(sh.spans))
-				for spi := range sh.spans {
-					spi := spi
-					units = append(units, workUnit{fail: t.failWith, run: func() {
-						if faultinject.Active() {
-							faultinject.Fire(faultinject.ScanUnit, t.sig)
-							faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", t.sig, si))
-						}
-						s := sh.spans[spi]
-						sh.passes[0](sh.bm, s.lo, s.hi)
-						for _, pass := range sh.passes[1:] {
-							pass(sh.fb, s.lo, s.hi)
-							sh.bm.And(sh.fb, s.lo, s.hi)
-						}
-						sh.cnts[spi] = sh.bm.Count(s.lo, s.hi)
-					}})
-				}
-			} else {
-				sh.sel = make([]int32, sh.nrows)
-				for spi := range sh.spans {
-					spi := spi
-					units = append(units, workUnit{fail: t.failWith, run: func() {
-						if faultinject.Active() {
-							faultinject.Fire(faultinject.ScanUnit, t.sig)
-							faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", t.sig, si))
-						}
-						s := sh.spans[spi]
-						for i := s.lo; i < s.hi; i++ {
-							sh.sel[i] = int32(i)
-						}
-					}})
-				}
-			}
+			units = t.shards[si].filterUnits(units, chunk, t.failWith, faultinject.ScanUnit, t.sig, si)
 		}
 	}
 	for _, g := range groups {
-		g := g
 		for si := range g.shards {
-			si, gsh := si, &g.shards[si]
-			gsh.spans = chunkSpans(gsh.nrows, chunk)
-			gsh.bm = vec.NewBitmap(gsh.nrows)
-			if len(gsh.passes) > 1 {
-				gsh.fb = vec.NewBitmap(gsh.nrows)
-			}
-			gsh.cnts = make([]int, len(gsh.spans))
-			for spi := range gsh.spans {
-				spi := spi
-				units = append(units, workUnit{fail: g.failAll, run: func() {
-					if faultinject.Active() {
-						faultinject.Fire(faultinject.TemplateUnit, g.tmpl.sig)
-						faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", g.tmpl.sig, si))
-					}
-					s := gsh.spans[spi]
-					gsh.passes[0](gsh.bm, s.lo, s.hi)
-					for _, pass := range gsh.passes[1:] {
-						pass(gsh.fb, s.lo, s.hi)
-						gsh.bm.And(gsh.fb, s.lo, s.hi)
-					}
-					gsh.cnts[spi] = gsh.bm.Count(s.lo, s.hi)
-				}})
-			}
+			units = g.shards[si].filterUnits(units, chunk, g.failAll, faultinject.TemplateUnit, g.tmpl.sig, si)
 		}
 	}
 	if err := runPool(ctx, workers, units); err != nil {
 		return err
 	}
 
-	// Phase 2: materialize surviving row ids per shard, spans writing
-	// disjoint ranges at precomputed offsets so each shard's selection
-	// is in ascending row order regardless of completion order. Tasks
-	// failed in phase 1 are skipped: their bitmaps may be partial.
-	// Groups materialize the union selection the same way.
+	// Phase 2: materialize surviving row ids per shard. Tasks failed in
+	// phase 1 are skipped: their bitmaps may be partial. Groups
+	// materialize the union selection the same way.
 	units = units[:0]
 	for _, t := range pending {
 		if t.failedPanic() != nil || t.group != nil {
 			continue
 		}
-		t := t
 		for si := range t.shards {
-			sh := &t.shards[si]
-			if len(sh.passes) == 0 {
-				continue
-			}
-			totalSel := 0
-			offs := make([]int, len(sh.spans))
-			for spi, c := range sh.cnts {
-				offs[spi] = totalSel
-				totalSel += c
-			}
-			sh.sel = make([]int32, totalSel)
-			for spi := range sh.spans {
-				if sh.cnts[spi] == 0 {
-					continue
-				}
-				spi, off, cnt := spi, offs[spi], sh.cnts[spi]
-				units = append(units, workUnit{fail: t.failWith, run: func() {
-					s := sh.spans[spi]
-					sh.bm.AppendIndices(sh.sel[off:off:off+cnt], s.lo, s.hi)
-				}})
-			}
+			units = t.shards[si].selUnits(units, t.failWith)
 		}
 	}
 	for _, g := range groups {
 		if g.failed() {
 			continue
 		}
-		g := g
 		for si := range g.shards {
-			gsh := &g.shards[si]
-			totalSel := 0
-			offs := make([]int, len(gsh.spans))
-			for spi, c := range gsh.cnts {
-				offs[spi] = totalSel
-				totalSel += c
-			}
-			gsh.usel = make([]int32, totalSel)
-			for spi := range gsh.spans {
-				if gsh.cnts[spi] == 0 {
-					continue
-				}
-				spi, off, cnt := spi, offs[spi], gsh.cnts[spi]
-				units = append(units, workUnit{fail: g.failAll, run: func() {
-					s := gsh.spans[spi]
-					gsh.bm.AppendIndices(gsh.usel[off:off:off+cnt], s.lo, s.hi)
-				}})
-			}
+			units = g.shards[si].selUnits(units, g.failAll)
 		}
 	}
 	if err := runPool(ctx, workers, units); err != nil {
@@ -1076,9 +1046,10 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 			gsh.fcols = make([]*storage.ColData, len(g.tmpl.fpos))
 			for j, pos := range g.tmpl.fpos {
 				j, src := j, gsh.cs.Col(pos)
-				gsh.fcols[j] = newTemplateCol(src, len(gsh.usel))
+				gsh.fcols[j] = newColLike(src, len(gsh.sel))
 				units = append(units, workUnit{fail: g.failAll, run: func() {
-					gatherTemplateCol(gsh.fcols[j], src, gsh.usel, 0, len(gsh.usel), 0)
+					gatherCol(gsh.fcols[j], src, gsh.sel, 0, len(gsh.sel), 0)
+					markNulls(gsh.fcols[j], 0, len(gsh.sel))
 				}})
 			}
 		}
@@ -1104,9 +1075,9 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 				si := si
 				units = append(units, workUnit{fail: t.failWith, run: func() {
 					gsh := &g.shards[si]
-					sel := refineTemplate(t.tmpl, t.scan.Filters, gsh.fcols, len(gsh.usel))
+					sel := refineTemplate(t.tmpl, t.scan.Filters, gsh.fcols, len(gsh.sel))
 					for i, p := range sel {
-						sel[i] = gsh.usel[p]
+						sel[i] = gsh.sel[p]
 					}
 					t.shards[si].sel = sel
 				}})
@@ -1118,9 +1089,9 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 	}
 
 	// Phase 3: gather boundary columns for the surviving rows. Each
-	// shard writes its slice of the merged output columns at the shard's
-	// cumulative offset — mergePartials performed in place, so shard
-	// outputs concatenate in shard order without a copy step.
+	// shard writes its slice of the output columns at the shard's
+	// cumulative offset, so shard outputs concatenate in shard order
+	// without a merge step; NULL bitmap words are set in the final stage.
 	units = units[:0]
 	for _, t := range pending {
 		if t.failedPanic() != nil {
@@ -1133,9 +1104,9 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 			count += len(t.shards[si].sel)
 		}
 		t.selTotal = count
-		t.cols = make([][]rel.Value, len(t.refs))
-		for k := range t.refs {
-			t.cols[k] = make([]rel.Value, count)
+		t.cols = make([]*storage.ColData, len(t.refs))
+		for k, pos := range t.boundPos {
+			t.cols[k] = newColLike(t.shards[0].cs.Col(pos), count)
 		}
 		if len(t.refs) == 0 || count == 0 {
 			continue
@@ -1148,7 +1119,9 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 			for _, s := range chunkSpans(len(sh.sel), chunk) {
 				s, sh := s, sh
 				units = append(units, workUnit{fail: t.failWith, run: func() {
-					gatherColsOff(sh.cs, t.boundPos, t.cols, sh.sel, s.lo, s.hi, sh.off)
+					for k, pos := range t.boundPos {
+						gatherCol(t.cols[k], sh.cs.Col(pos), sh.sel, s.lo, s.hi, sh.off)
+					}
 				}})
 			}
 		}
@@ -1163,6 +1136,9 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 			// any cache; settleWave attributes the failure to its plans.
 			t.shards, t.cols, t.group = nil, nil, nil
 			continue
+		}
+		for _, c := range t.cols {
+			markNulls(c, 0, t.selTotal)
 		}
 		t.sub = &subResult{sig: t.primaryKey(), count: t.selTotal, refs: t.refs, cols: t.cols}
 		t.storeSub(t.sub, -1)
@@ -1185,17 +1161,16 @@ type tableBuildKey struct {
 }
 
 // tableBuild is one deduplicated hash-table construction and the tasks
-// awaiting it. Sharded builds carry one segment per word-aligned build
-// partition (storage.ShardBounds over the build rows): each segment's
-// unit fills its own parts slot, and the segments merge by appending
-// buckets in segment order — the same bucket contents as a sequential
-// build, since segments are ascending contiguous row ranges.
+// awaiting it. Sharded builds hash one segment per word-aligned build
+// partition (storage.ShardBounds over the build rows) in its own unit;
+// once every segment is done the rows are linked in one sequential
+// pass, which yields the same table as an unsharded build.
 type tableBuild struct {
 	r     *subResult
 	rkey  []int
-	table map[uint64][]int32
+	ht    *hashTable
 	segs  []span
-	parts []map[uint64][]int32
+	done  atomic.Int32 // segments hashed
 	users []*batchTask
 }
 
@@ -1209,9 +1184,10 @@ func intsKey(xs []int) string {
 
 // runJoinWave executes one depth level of join tasks: sequential cache
 // probes and key resolution, parallel deduplicated hash-table builds
-// (segmented across shards when sharding is on, merged in segment
-// order), then one combined probe span list, merged per task in span
-// order. A ctx abort returns before any result or hash table reaches
+// (hashed per segment when sharding is on, linked sequentially), one
+// combined probe span list emitting row-id pairs, then one combined
+// gather span list writing each span's matches at its prefix-sum
+// offset. A ctx abort returns before any result or hash table reaches
 // any cache.
 func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) error {
 	var pending []*batchTask
@@ -1272,55 +1248,37 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 				t.failWith(cp)
 			}
 		}
-		if shards > 1 {
-			if bounds := storage.ShardBounds(tb.r.count, shards); len(bounds) > 2 {
-				tb.segs = make([]span, len(bounds)-1)
-				tb.parts = make([]map[uint64][]int32, len(tb.segs))
-				for i := range tb.segs {
-					tb.segs[i] = span{bounds[i], bounds[i+1]}
+		bounds := storage.ShardBounds(tb.r.count, shards)
+		tb.ht = newHashTable(tb.r.count)
+		tb.segs = make([]span, len(bounds)-1)
+		for segi := range tb.segs {
+			segi := segi
+			tb.segs[segi] = span{bounds[segi], bounds[segi+1]}
+			units = append(units, workUnit{fail: fail, run: func() {
+				if faultinject.Active() {
+					faultinject.Fire(faultinject.BuildUnit, tb.users[0].sig)
+					if len(tb.segs) > 1 {
+						faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", tb.users[0].sig, segi))
+					}
 				}
-				for segi := range tb.segs {
-					segi := segi
-					units = append(units, workUnit{fail: fail, run: func() {
-						if faultinject.Active() {
-							faultinject.Fire(faultinject.BuildUnit, tb.users[0].sig)
-							faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", tb.users[0].sig, segi))
-						}
-						s := tb.segs[segi]
-						tb.parts[segi] = buildHashTableRange(tb.r, tb.rkey, s.lo, s.hi)
-					}})
-				}
-				continue
-			}
+				s := tb.segs[segi]
+				tb.ht.hashRows(tb.r, tb.rkey, s.lo, s.hi)
+				tb.done.Add(1)
+			}})
 		}
-		units = append(units, workUnit{fail: fail, run: func() {
-			if faultinject.Active() {
-				faultinject.Fire(faultinject.BuildUnit, tb.users[0].sig)
-			}
-			tb.table = buildHashTable(tb.r, tb.rkey)
-		}})
 	}
 	if err := runPool(ctx, workers, units); err != nil {
 		return err
 	}
 	for _, tb := range buildOrder {
-		if tb.table == nil && tb.parts != nil {
-			// Merge the segment tables in segment order. A panicked
-			// segment leaves a nil part; its users are already failed, so
-			// the merge is skipped and no table is stored anywhere.
-			complete := true
-			for _, p := range tb.parts {
-				if p == nil {
-					complete = false
-					break
-				}
-			}
-			if complete {
-				tb.table = mergeHashTables(tb.parts)
-			}
+		// A panicked segment leaves the build incomplete; its users are
+		// already failed, so nothing is linked or stored anywhere.
+		if int(tb.done.Load()) < len(tb.segs) {
+			continue
 		}
+		tb.ht.link()
 		for _, t := range tb.users {
-			t.table = tb.table
+			t.table = tb.ht
 		}
 	}
 	// Store each task's table — freshly built, or found in only some of
@@ -1331,8 +1289,9 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 	}
 
 	// Phase 2: one combined probe span list over every pending task's
-	// left rows; each span fills a private part. Tasks whose build
-	// failed are skipped — there is no table to probe.
+	// left rows; each span counts its matches and, when the task has
+	// output columns, records them as row-id pairs in its private part.
+	// Tasks whose build failed are skipped — there is no table to probe.
 	units = units[:0]
 	for _, t := range pending {
 		if t.failedPanic() != nil {
@@ -1349,9 +1308,12 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 				}
 				s := t.pspans[si]
 				part := &t.parts[si]
-				part.cols = make([][]rel.Value, len(t.gather))
+				var pb *pairBuf
+				if len(t.gather) > 0 {
+					pb = &part.pairs
+				}
 				part.count = probeRange(t.left.sub, t.right.sub, t.table,
-					t.lkey, t.rkey, t.gather, part.cols, s.lo, s.hi)
+					t.lkey, t.rkey, pb, s.lo, s.hi)
 			}})
 		}
 	}
@@ -1359,27 +1321,48 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 		return err
 	}
 
-	// Merge in span order: identical to a sequential probe.
+	// Phase 3: place every span's matches at its prefix-sum offset and
+	// gather the output columns from the children, one combined span
+	// list; output columns are allocated exactly count rows long.
+	units = units[:0]
 	for _, t := range pending {
 		if t.failedPanic() != nil {
-			t.table, t.parts, t.pspans = nil, nil, nil
 			continue
 		}
+		t := t
 		count := 0
 		for pi := range t.parts {
+			t.parts[pi].off = count
 			count += t.parts[pi].count
 		}
-		outCols := make([][]rel.Value, len(t.gather))
-		for k := range t.gather {
-			merged := make([]rel.Value, 0, count)
-			for pi := range t.parts {
-				merged = append(merged, t.parts[pi].cols[k]...)
-			}
-			outCols[k] = merged
+		t.selTotal = count
+		t.cols = newJoinCols(t.gather, t.left.sub, t.right.sub, count)
+		if len(t.gather) == 0 || count == 0 {
+			continue
 		}
-		t.sub = &subResult{sig: t.primaryKey(), count: count, refs: t.refs, cols: outCols}
-		t.storeSub(t.sub, -1)
-		t.table, t.parts, t.pspans = nil, nil, nil
+		for pi := range t.parts {
+			if t.parts[pi].count == 0 {
+				continue
+			}
+			part := &t.parts[pi]
+			units = append(units, workUnit{fail: t.failWith, run: func() {
+				gatherPairs(t.cols, t.gather, t.left.sub, t.right.sub, &part.pairs, part.off)
+			}})
+		}
+	}
+	if err := runPool(ctx, workers, units); err != nil {
+		return err
+	}
+
+	for _, t := range pending {
+		if t.failedPanic() == nil {
+			for _, c := range t.cols {
+				markNulls(c, 0, t.selTotal)
+			}
+			t.sub = &subResult{sig: t.primaryKey(), count: t.selTotal, refs: t.refs, cols: t.cols}
+			t.storeSub(t.sub, -1)
+		}
+		t.table, t.parts, t.pspans, t.cols = nil, nil, nil, nil
 	}
 	return nil
 }
@@ -1388,7 +1371,7 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 // serves whose namespace resolved (cacheRef.tkey set in the wave's
 // probe stage). putTable skips caches that no longer retain the build
 // input's sub-result (possible under a tight value budget).
-func (t *batchTask) storeTable(table map[uint64][]int32) {
+func (t *batchTask) storeTable(table *hashTable) {
 	if table == nil {
 		return
 	}

@@ -290,7 +290,7 @@ func TestSkeletonCacheLRUEviction(t *testing.T) {
 	subs := []*subResult{{count: 1}, {count: 2}, {count: 3}}
 	c.putSub("a", subs[0])
 	c.putSub("b", subs[1])
-	c.putTable("b", "b||K:x", map[uint64][]int32{1: {0}})
+	c.putTable("b", "b||K:x", newHashTable(1))
 
 	// Touch "a" so "b" is the LRU entry, then overflow.
 	if _, ok := c.getSub("a"); !ok {

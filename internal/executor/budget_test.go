@@ -6,18 +6,19 @@ import (
 
 	"reopt/internal/rel"
 	"reopt/internal/sql"
+	"reopt/internal/storage"
 )
 
 // fabSub fabricates a sub-result with one boundary column of n values.
 func fabSub(n int) *subResult {
-	col := make([]rel.Value, n)
-	for i := range col {
-		col[i] = rel.Int(int64(i))
+	col := &storage.ColData{Kind: rel.KindInt, Ints: make([]int64, n)}
+	for i := range col.Ints {
+		col.Ints[i] = int64(i)
 	}
 	return &subResult{
 		count: n,
 		refs:  []sql.ColRef{{Table: "t", Column: "k"}},
-		cols:  [][]rel.Value{col},
+		cols:  []*storage.ColData{col},
 	}
 }
 
@@ -81,7 +82,7 @@ func TestSkeletonCacheValueAccounting(t *testing.T) {
 	if v := c.Values(); v != 40 {
 		t.Fatalf("values after replacement: %d, want 40", v)
 	}
-	c.putTable("a", "a||K:t.k&", map[uint64][]int32{1: {0}})
+	c.putTable("a", "a||K:t.k&", newHashTable(1))
 	if c.getTable("a||K:t.k&") == nil {
 		t.Fatal("table not registered")
 	}

@@ -64,7 +64,7 @@ type skelStore struct {
 	values     int // current total materialized values (see entryValues)
 	subs       map[string]*list.Element
 	lru        *list.List // front = most recently used
-	tables     map[string]map[uint64][]int32
+	tables     map[string]*hashTable
 	// templates is the (template, constant-vector) sub-result index
 	// (DESIGN.md §9): fingerprint -> collision chain of template
 	// entries, each riding one cached sub-result. A lookup that misses
@@ -154,7 +154,7 @@ func NewSkeletonCacheBudget(limit, valueLimit int) *SkeletonCache {
 		valueLimit: valueLimit,
 		subs:       make(map[string]*list.Element),
 		lru:        list.New(),
-		tables:     make(map[string]map[uint64][]int32),
+		tables:     make(map[string]*hashTable),
 		templates:  make(map[uint64][]*tmplEntry),
 	}}
 }
@@ -180,10 +180,7 @@ func (c *SkeletonCache) WithPrefix(p string) *SkeletonCache {
 // materialized boundary-column values, floored at 1 so zero-column
 // entries still consume budget and eviction always makes progress.
 func entryValues(sub *subResult) int {
-	n := 0
-	for _, c := range sub.cols {
-		n += len(c)
-	}
+	n := sub.count * len(sub.cols)
 	if n < 1 {
 		n = 1
 	}
@@ -346,7 +343,7 @@ func (s *skelStore) dropTemplateLocked(te *tmplEntry) {
 }
 
 // getTable looks up a build-side hash table.
-func (c *SkeletonCache) getTable(key string) map[uint64][]int32 {
+func (c *SkeletonCache) getTable(key string) *hashTable {
 	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -357,7 +354,7 @@ func (c *SkeletonCache) getTable(key string) map[uint64][]int32 {
 // indexes (subKey) so the two are evicted together. If that sub-result
 // is no longer cached — possible under a tight budget — the table is
 // not cached either, since nothing would ever evict it.
-func (c *SkeletonCache) putTable(subKey, tableKey string, t map[uint64][]int32) {
+func (c *SkeletonCache) putTable(subKey, tableKey string, t *hashTable) {
 	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()

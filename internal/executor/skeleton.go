@@ -12,7 +12,11 @@ package executor
 // subtree's *boundary columns* — the columns referenced by query join
 // predicates that cross the subtree's relation set, i.e. exactly what any
 // ancestor join can ever probe — and joins them with collision-checked
-// 64-bit hashes.
+// 64-bit hashes. Boundary columns are typed storage.ColData (mixed-kind
+// columns fall back to ColData.Vals), and joins are late-materialized:
+// a probe emits matched (left row, right row) id pairs, and each output
+// column is then gathered once, exactly count long, from the child that
+// owns it.
 //
 // The inner loops are vectorized and parallel. Scan filters compile to
 // typed branch-free kernels (internal/vec) that evaluate each predicate
@@ -22,9 +26,9 @@ package executor
 // and join probe loops are partitioned into contiguous row ranges run
 // across up to GOMAXPROCS goroutines: sub-results and build-side hash
 // tables are read-only by then, workers keep private counters and
-// private output chunks, and the chunks are merged in partition order —
-// so counts and column contents are byte-identical at every worker
-// count.
+// private row-id pairs, and each partition's output lands at its prefix-
+// sum offset — so counts and column contents are byte-identical at
+// every worker count.
 //
 // Because boundary columns are derived from the query rather than the
 // plan, a sub-result is valid for every join order that contains the same
@@ -77,7 +81,7 @@ type subResult struct {
 	sig   string
 	count int
 	refs  []sql.ColRef
-	cols  [][]rel.Value
+	cols  []*storage.ColData // one per ref, each count rows long
 }
 
 // CountSkeleton computes the per-node output counts of a count-only
@@ -220,6 +224,7 @@ type skelEngine struct {
 	spanBuf []span
 	cntBuf  []int
 	offBuf  []int
+	pairBuf []pairBuf
 }
 
 // bitmap returns the engine's primary scratch bitmap resized to n rows.
@@ -311,17 +316,12 @@ func subtreeSig(n plan.Node) string {
 	return plan.CanonicalSet(n.Aliases()) + "||" + strings.Join(toks, "&")
 }
 
-// boundaryFor returns, for a relation set, the columns any ancestor join
-// can reference: the set-side columns of query join predicates with
-// exactly one endpoint inside the set. The result depends only on the
-// query, never on the plan, which is what makes sub-results reusable
-// across join orders.
-func (e *skelEngine) boundaryFor(aliases []string) []sql.ColRef {
-	return boundaryColumns(e.q, aliases)
-}
-
-// boundaryColumns is boundaryFor as a free function, shared with the
-// batch engine (whose tasks may come from different queries).
+// boundaryColumns returns, for a relation set, the columns any ancestor
+// join can reference: the set-side columns of query join predicates
+// with exactly one endpoint inside the set. The result depends only on
+// the query, never on the plan, which is what makes sub-results
+// reusable across join orders (and lets the batch engine mix tasks of
+// different queries).
 func boundaryColumns(q *sql.Query, aliases []string) []sql.ColRef {
 	in := make(map[string]bool, len(aliases))
 	for _, a := range aliases {
@@ -449,7 +449,7 @@ func runSpans(spans []span, fn func(part int, s span)) {
 // --- Leaf scans ---
 
 func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
-	refs := e.boundaryFor([]string{t.Alias})
+	refs := boundaryColumns(e.q, []string{t.Alias})
 	var key string
 	if e.cache != nil {
 		key = e.cache.subKey(subtreeSig(t), refs)
@@ -518,165 +518,88 @@ func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
 		}
 	}
 
+	// Every scan runs per shard — the monolithic layout is the single
+	// shard — and the shards' selections concatenate in shard order,
+	// which is global ascending row order: each output column is
+	// gathered once, at the preceding shards' offset. The budget is
+	// charged per shard; the charges sum to the monolithic charge, so
+	// breach verdicts are shard-count-independent.
+	shards := []*storage.ColStore{tab.ColData()}
 	if e.shards > 1 {
-		return e.evalScanSharded(t, tab, key, refs, filterPos, poss, tmpl, tmplOK)
+		shards = tab.ColDataShards(e.shards)
 	}
-
-	cs := tab.ColData()
-	n := cs.NumRows()
-
-	// Compile every filter into vectorized bitmap passes over this
-	// store's columns.
-	passes := e.passBuf[:0]
-	for fi, f := range t.Filters {
-		passes = appendFilterPasses(passes, cs.Col(filterPos[fi]), f)
-	}
-	e.passBuf = passes[:0]
-
-	sel := e.selectRows(passes, n)
-	if e.mem.charge(int64(len(sel)) * int64(len(refs))) {
-		return nil, ErrMemoryBudget
-	}
-
-	// Gather the boundary columns for the surviving rows, partitioned
-	// over the selection vector (each worker writes a disjoint range of
-	// every output column).
-	cols := make([][]rel.Value, len(refs))
-	for k := range refs {
-		cols[k] = make([]rel.Value, len(sel))
-	}
-	if len(refs) > 0 && len(sel) > 0 {
-		// The single-span case is inlined (here and in selectRows /
-		// evalJoin) rather than funneled through runSpans: the closure
-		// argument escapes into runSpans' goroutines, so constructing it
-		// costs a heap allocation even when it would run inline.
-		spans := e.rowSpans(len(sel))
-		if len(spans) == 1 {
-			gatherCols(cs, poss, cols, sel, 0, len(sel))
-		} else {
-			runSpans(spans, func(_ int, s span) {
-				gatherCols(cs, poss, cols, sel, s.lo, s.hi)
-			})
-		}
-	}
-	sub := &subResult{sig: key, count: len(sel), refs: refs, cols: cols}
-	if e.cache != nil {
-		e.cache.putSub(key, sub)
-		if tmplOK {
-			e.cache.putTemplate(key, tmpl, sub, gatherFilterColsAt(cs, tmpl.fpos, sel))
-		}
-	}
-	return sub, nil
-}
-
-// shardPartial is one shard's contribution to a sub-result: its match
-// count and its slice of every boundary column. Partials merge in shard
-// order (mergePartials); because shards are contiguous in-order row
-// partitions, the merge reproduces the monolithic result byte for byte.
-type shardPartial struct {
-	count int
-	cols  [][]rel.Value
-}
-
-// mergePartials combines per-shard partials in shard order: counts sum
-// and each boundary column is the concatenation of the shards' columns.
-// The merge is associative — any grouping of adjacent shards yields the
-// same bytes — which is what lets shards execute on independent workers
-// (or, eventually, independent processes) without affecting results.
-func mergePartials(parts []shardPartial, nrefs int) (int, [][]rel.Value) {
-	count := 0
-	for i := range parts {
-		count += parts[i].count
-	}
-	cols := make([][]rel.Value, nrefs)
-	for k := 0; k < nrefs; k++ {
-		merged := make([]rel.Value, 0, count)
-		for i := range parts {
-			if parts[i].cols != nil {
-				merged = append(merged, parts[i].cols[k]...)
-			}
-		}
-		cols[k] = merged
-	}
-	return count, cols
-}
-
-// evalScanSharded is the sharded scan path: each shard view runs the
-// same filter/gather pipeline over its own rows (filters recompiled per
-// shard, since passes close over the shard's column slices) and the
-// partials merge in shard order. The memory budget is charged
-// incrementally per shard; the per-shard charges sum to exactly the
-// monolithic charge, so breach verdicts are shard-count-independent.
-func (e *skelEngine) evalScanSharded(t *plan.ScanNode, tab *storage.Table, key string, refs []sql.ColRef, filterPos, poss []int, tmpl scanTemplate, tmplOK bool) (*subResult, error) {
-	shards := tab.ColDataShards(e.shards)
-	injecting := faultinject.Active()
 	var sig string
-	if injecting {
+	if len(shards) > 1 && faultinject.Active() {
 		sig = subtreeSig(t)
 	}
-	// Template registration needs each shard's selection after the merge,
-	// but e.selBuf is reused per shard — keep copies only when sharing is
-	// on (the selections are sample-sized).
-	var selCopies [][]int32
-	if tmplOK {
-		selCopies = make([][]int32, len(shards))
-	}
-	parts := make([]shardPartial, len(shards))
+	sels := make([][]int32, len(shards))
+	count := 0
 	for si, cs := range shards {
-		if injecting {
+		if sig != "" {
 			faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", sig, si))
 		}
-		n := cs.NumRows()
+		// Compile every filter into vectorized bitmap passes over this
+		// shard's columns (passes close over the column slices).
 		passes := e.passBuf[:0]
 		for fi, f := range t.Filters {
 			passes = appendFilterPasses(passes, cs.Col(filterPos[fi]), f)
 		}
 		e.passBuf = passes[:0]
-		sel := e.selectRows(passes, n)
+		sel := e.selectRows(passes, cs.NumRows())
 		if e.mem.charge(int64(len(sel)) * int64(len(refs))) {
 			return nil, ErrMemoryBudget
 		}
-		cols := make([][]rel.Value, len(refs))
-		for k := range refs {
-			cols[k] = make([]rel.Value, len(sel))
+		if len(shards) > 1 {
+			// e.selBuf is reused by the next shard's selectRows.
+			sel = append([]int32(nil), sel...)
 		}
-		if len(refs) > 0 && len(sel) > 0 {
-			spans := e.rowSpans(len(sel))
-			if len(spans) == 1 {
-				gatherCols(cs, poss, cols, sel, 0, len(sel))
-			} else {
-				runSpans(spans, func(_ int, s span) {
-					gatherCols(cs, poss, cols, sel, s.lo, s.hi)
-				})
-			}
-		}
-		parts[si] = shardPartial{count: len(sel), cols: cols}
-		if tmplOK {
-			selCopies[si] = append([]int32(nil), sel...)
-		}
+		sels[si] = sel
+		count += len(sel)
 	}
-	count, cols := mergePartials(parts, len(refs))
-	sub := &subResult{sig: key, count: count, refs: refs, cols: cols}
+	sub := &subResult{sig: key, count: count, refs: refs, cols: e.gatherShards(shards, poss, sels, count)}
 	if e.cache != nil {
 		e.cache.putSub(key, sub)
 		if tmplOK {
-			// Filter columns gathered shard by shard at the merged
-			// offsets: identical bytes to a monolithic gather, since
-			// shards concatenate in shard order.
-			fcols := make([]*storage.ColData, len(tmpl.fpos))
-			for j, pos := range tmpl.fpos {
-				dst := newTemplateCol(shards[0].Col(pos), count)
-				off := 0
-				for si, cs := range shards {
-					gatherTemplateCol(dst, cs.Col(pos), selCopies[si], 0, len(selCopies[si]), off)
-					off += len(selCopies[si])
-				}
-				fcols[j] = dst
-			}
-			e.cache.putTemplate(key, tmpl, sub, fcols)
+			e.cache.putTemplate(key, tmpl, sub, e.gatherShards(shards, tmpl.fpos, sels, count))
 		}
 	}
 	return sub, nil
+}
+
+// gatherShards gathers the columns at schema positions poss for every
+// shard's selection into count-row typed columns, shard i landing after
+// shards 0..i-1 — the shard-order merge, done in place. Each shard's
+// gather is partitioned over its selection; NULL bitmap words, which
+// adjacent partitions may share, are set in one sequential pass after.
+func (e *skelEngine) gatherShards(shards []*storage.ColStore, poss []int, sels [][]int32, count int) []*storage.ColData {
+	cols := make([]*storage.ColData, len(poss))
+	for k, pos := range poss {
+		cols[k] = newColLike(shards[0].Col(pos), count)
+	}
+	off := 0
+	for si, cs := range shards {
+		sel, o := sels[si], off
+		// The single-span case is inlined (here and in selectRows /
+		// evalJoin) rather than funneled through runSpans: the closure
+		// argument escapes into runSpans' goroutines, so constructing it
+		// costs a heap allocation even when it would run inline.
+		if spans := e.rowSpans(len(sel)); len(spans) == 1 {
+			for k, pos := range poss {
+				gatherCol(cols[k], cs.Col(pos), sel, 0, len(sel), o)
+			}
+		} else {
+			runSpans(spans, func(_ int, s span) {
+				for k, pos := range poss {
+					gatherCol(cols[k], cs.Col(pos), sel, s.lo, s.hi, o)
+				}
+			})
+		}
+		off += len(sel)
+	}
+	for _, c := range cols {
+		markNulls(c, 0, count)
+	}
+	return cols
 }
 
 // selectRows evaluates the filter passes over the whole column store
@@ -739,27 +662,6 @@ func (e *skelEngine) selectRows(passes []scanPass, n int) []int32 {
 		}
 	})
 	return sel
-}
-
-// gatherCols copies the boundary columns' values for rows [lo, hi) of
-// the selection vector into the output columns — the per-span body of
-// the partitioned gather.
-func gatherCols(cs *storage.ColStore, poss []int, cols [][]rel.Value, sel []int32, lo, hi int) {
-	gatherColsOff(cs, poss, cols, sel, lo, hi, 0)
-}
-
-// gatherColsOff is gatherCols writing at a destination offset: selection
-// entry x lands at cols[k][off+x]. Sharded scans use it to concatenate
-// shard outputs in shard order directly into the merged columns (off is
-// the sum of the preceding shards' selection counts).
-func gatherColsOff(cs *storage.ColStore, poss []int, cols [][]rel.Value, sel []int32, lo, hi, off int) {
-	for k, pos := range poss {
-		col := cs.Col(pos)
-		out := cols[k]
-		for x := lo; x < hi; x++ {
-			out[off+x] = col.Value(int(sel[x]))
-		}
-	}
 }
 
 // scanPass fills rows [lo, hi) of a bitmap with one filter conjunct
@@ -932,7 +834,7 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	outRefs := e.boundaryFor(t.Aliases())
+	outRefs := boundaryColumns(e.q, t.Aliases())
 	var key string
 	if e.cache != nil {
 		key = e.cache.subKey(subtreeSig(t), outRefs)
@@ -960,23 +862,14 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 	}
 
 	// Build (or reuse) the hash table over the right side's key columns.
-	// Unsharded builds stay sequential: bucket append order must be the
-	// row order for deterministic output, and build sides are small
-	// relative to the probe work the partitions absorb. Sharded builds
-	// construct per-segment tables and concatenate buckets in segment
-	// order, which reproduces the same bucket contents.
-	var table map[uint64][]int32
+	var table *hashTable
 	tkey := ""
 	if e.cache != nil {
 		tkey = hashTableKey(r.sig, preds)
 		table = e.cache.getTable(tkey)
 	}
 	if table == nil {
-		if e.shards > 1 {
-			table = e.buildHashTableSharded(r, rkey)
-		} else {
-			table = buildHashTable(r, rkey)
-		}
+		table = e.buildHashTable(r, rkey)
 		if e.cache != nil {
 			e.cache.putTable(r.sig, tkey, table)
 		}
@@ -989,50 +882,81 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 	}
 
 	// Probe, partitioned over the left side's rows. The hash table and
-	// both children's columns are read-only now; each worker keeps a
-	// private match counter and private output-column chunks, merged in
-	// partition order below so the result is identical to a sequential
-	// probe at any worker count.
+	// both children's columns are read-only now; each worker counts its
+	// matches and, when the join has output columns, records them as
+	// (left row, right row) pairs in private scratch. A prefix sum over
+	// the span counts then places each span's matches, so the output is
+	// identical to a sequential probe at any worker count.
 	spans := e.rowSpans(l.count)
-	count := 0
-	var outCols [][]rel.Value
+	var pairs []pairBuf
+	if len(gather) > 0 {
+		pairs = e.pairBufs(len(spans))
+	}
+	counts := intsBuf(&e.cntBuf, len(spans))
 	if len(spans) == 1 {
-		outCols = make([][]rel.Value, len(gather))
-		count = probeRange(l, r, table, lkey, rkey, gather, outCols, 0, l.count)
+		counts[0] = probeRange(l, r, table, lkey, rkey, pairAt(pairs, 0), 0, l.count)
 	} else {
-		type probePart struct {
-			count int
-			cols  [][]rel.Value
-		}
-		parts := make([]probePart, len(spans))
 		runSpans(spans, func(p int, s span) {
-			local := &parts[p]
-			local.cols = make([][]rel.Value, len(gather))
-			local.count = probeRange(l, r, table, lkey, rkey, gather, local.cols, s.lo, s.hi)
+			counts[p] = probeRange(l, r, table, lkey, rkey, pairAt(pairs, p), s.lo, s.hi)
 		})
-		for p := range parts {
-			count += parts[p].count
+	}
+	count := 0
+	for _, c := range counts {
+		count += c
+	}
+	// Charge the output cells before materializing them; a breaching
+	// plan stores nothing, which keeps verdicts reproducible on retry.
+	if e.mem.charge(int64(count) * int64(len(outRefs))) {
+		return nil, ErrMemoryBudget
+	}
+	outCols := newJoinCols(gather, l, r, count)
+	if len(gather) > 0 && count > 0 {
+		offs := intsBuf(&e.offBuf, len(spans))
+		off := 0
+		for p, c := range counts {
+			offs[p] = off
+			off += c
 		}
-		outCols = make([][]rel.Value, len(gather))
-		for k := range gather {
-			merged := make([]rel.Value, 0, count)
-			for p := range parts {
-				merged = append(merged, parts[p].cols[k]...)
-			}
-			outCols[k] = merged
+		if len(spans) == 1 {
+			gatherPairs(outCols, gather, l, r, &pairs[0], 0)
+		} else {
+			runSpans(spans, func(p int, _ span) {
+				gatherPairs(outCols, gather, l, r, &pairs[p], offs[p])
+			})
+		}
+		for _, c := range outCols {
+			markNulls(c, 0, count)
 		}
 	}
 	sub := &subResult{sig: key, count: count, refs: outRefs, cols: outCols}
-	if e.mem.charge(subCharge(sub)) {
-		// The sub-result is fully computed and correct, so caching it
-		// would be sound — but the budget contract is "a breaching plan
-		// stores nothing", which keeps verdicts reproducible on retry.
-		return nil, ErrMemoryBudget
-	}
 	if e.cache != nil {
 		e.cache.putSub(key, sub)
 	}
 	return sub, nil
+}
+
+// pairBuf is one probe span's matches as parallel left/right row ids.
+type pairBuf struct{ l, r []int32 }
+
+// pairBufs returns n emptied pair buffers from the engine's scratch;
+// they are valid until the next join evaluates.
+func (e *skelEngine) pairBufs(n int) []pairBuf {
+	for len(e.pairBuf) < n {
+		e.pairBuf = append(e.pairBuf, pairBuf{})
+	}
+	bufs := e.pairBuf[:n]
+	for i := range bufs {
+		bufs[i].l, bufs[i].r = bufs[i].l[:0], bufs[i].r[:0]
+	}
+	return bufs
+}
+
+// pairAt returns span p's pair buffer, or nil for a count-only probe.
+func pairAt(pairs []pairBuf, p int) *pairBuf {
+	if pairs == nil {
+		return nil
+	}
+	return &pairs[p]
 }
 
 // joinKeys canonicalizes a join's predicates and resolves each to the
@@ -1071,66 +995,24 @@ func hashTableKey(rsig string, preds []sql.JoinPred) string {
 	return sb.String()
 }
 
-// buildHashTable builds the right side's hash table. The build is
-// sequential: bucket append order must be the row order for
-// deterministic output.
-func buildHashTable(r *subResult, rkey []int) map[uint64][]int32 {
-	return buildHashTableRange(r, rkey, 0, r.count)
-}
-
-// buildHashTableRange builds a hash table over right rows [lo, hi) —
-// the per-segment body of the sharded build.
-func buildHashTableRange(r *subResult, rkey []int, lo, hi int) map[uint64][]int32 {
-	table := make(map[uint64][]int32)
-	for j := lo; j < hi; j++ {
-		h, null := hashKeyAt(r.cols, rkey, j)
-		if null {
-			continue // NULL keys never match
-		}
-		table[h] = append(table[h], int32(j))
-	}
-	return table
-}
-
-// buildHashTableSharded partitions the build rows with the same
-// word-aligned bounds as sample shards, builds a table per segment
-// (segments run on independent goroutines — each writes only its own
-// map), and merges them by appending each segment's buckets in segment
-// order. Segments are ascending contiguous row ranges, so every
-// bucket's contents end up in ascending row order — byte-identical to
-// the sequential build, at any shard count.
-func (e *skelEngine) buildHashTableSharded(r *subResult, rkey []int) map[uint64][]int32 {
+// buildHashTable builds the right side's hash table. Sharded builds
+// hash each word-aligned segment (storage.ShardBounds over the build
+// rows) on its own goroutine; linking is always one sequential pass, so
+// the table is byte-identical at every shard and worker count.
+func (e *skelEngine) buildHashTable(r *subResult, rkey []int) *hashTable {
+	ht := newHashTable(r.count)
 	bounds := storage.ShardBounds(r.count, e.shards)
-	if len(bounds) == 2 {
-		return buildHashTable(r, rkey)
-	}
-	parts := make([]map[uint64][]int32, len(bounds)-1)
-	spans := make([]span, len(parts))
-	for i := range spans {
-		spans[i] = span{bounds[i], bounds[i+1]}
-	}
-	if e.workers == 1 {
-		for p, s := range spans {
-			parts[p] = buildHashTableRange(r, rkey, s.lo, s.hi)
-		}
+	if len(bounds) == 2 || e.workers == 1 {
+		ht.hashRows(r, rkey, 0, r.count)
 	} else {
-		runSpans(spans, func(p int, s span) {
-			parts[p] = buildHashTableRange(r, rkey, s.lo, s.hi)
-		})
-	}
-	return mergeHashTables(parts)
-}
-
-// mergeHashTables concatenates per-segment hash tables in segment
-// order: bucket contents append, preserving global row order.
-func mergeHashTables(parts []map[uint64][]int32) map[uint64][]int32 {
-	table := parts[0]
-	for _, p := range parts[1:] {
-		for h, rows := range p {
-			table[h] = append(table[h], rows...)
+		spans := make([]span, len(bounds)-1)
+		for i := range spans {
+			spans[i] = span{bounds[i], bounds[i+1]}
 		}
+		runSpans(spans, func(_ int, s span) { ht.hashRows(r, rkey, s.lo, s.hi) })
 	}
-	return table
+	ht.link()
+	return ht
 }
 
 // gatherPlan resolves each output boundary column to the child side and
@@ -1158,53 +1040,55 @@ type gatherSrc struct {
 	idx  int
 }
 
-// probeRange probes the hash table with left rows [lo, hi), appending
-// matched boundary values to cols (one slice per gather entry, in left
-// row order then bucket order) and returning the match count — the
-// per-span body of the partitioned probe.
-func probeRange(l, r *subResult, table map[uint64][]int32, lkey, rkey []int, gather []gatherSrc, cols [][]rel.Value, lo, hi int) int {
+// probeRange probes the hash table with left rows [lo, hi) and returns
+// the match count — the per-span body of the partitioned probe. When pb
+// is non-nil every match is appended to it as a (left row, right row)
+// pair, in left row order then chain (ascending right row) order.
+func probeRange(l, r *subResult, ht *hashTable, lkey, rkey []int, pb *pairBuf, lo, hi int) int {
 	count := 0
 	for i := lo; i < hi; i++ {
-		h, null := hashKeyAt(l.cols, lkey, i)
+		h, null := keyHash(l.cols, lkey, i)
 		if null {
 			continue
 		}
-		for _, j32 := range table[h] {
-			j := int(j32)
-			ok := true
-			for k := range lkey {
-				// Bucket-level collision check: hash equality is only a
-				// candidate; value equality decides.
-				if !l.cols[lkey[k]][i].Equal(r.cols[rkey[k]][j]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+		for j := ht.heads[ht.bucket(h)]; j >= 0; j = ht.next[j] {
+			// Hash equality is only a candidate; value equality decides.
+			if ht.hashes[j] != h || !colKeysEqual(l.cols, lkey, i, r.cols, rkey, int(j)) {
 				continue
 			}
 			count++
-			for k, g := range gather {
-				if g.left {
-					cols[k] = append(cols[k], l.cols[g.idx][i])
-				} else {
-					cols[k] = append(cols[k], r.cols[g.idx][j])
-				}
+			if pb != nil {
+				pb.l = append(pb.l, int32(i))
+				pb.r = append(pb.r, j)
 			}
 		}
 	}
 	return count
 }
 
-// hashKeyAt hashes row i's key columns, reporting whether any is NULL.
-func hashKeyAt(cols [][]rel.Value, key []int, i int) (uint64, bool) {
-	h := rel.HashSeed
-	for _, ci := range key {
-		v := cols[ci][i]
-		if v.IsNull() {
-			return 0, true
+// newJoinCols allocates a join's output columns, count rows each, typed
+// like the child columns they are gathered from.
+func newJoinCols(gather []gatherSrc, l, r *subResult, count int) []*storage.ColData {
+	cols := make([]*storage.ColData, len(gather))
+	for k, g := range gather {
+		side := r
+		if g.left {
+			side = l
 		}
-		h = v.Hash64(h)
+		cols[k] = newColLike(side.cols[g.idx], count)
 	}
-	return h, false
+	return cols
+}
+
+// gatherPairs writes one probe span's matches into the output columns
+// at destination offset off: each column reads its owning child at the
+// span's left or right row ids. NULL bitmap words are left to markNulls.
+func gatherPairs(cols []*storage.ColData, gather []gatherSrc, l, r *subResult, pb *pairBuf, off int) {
+	for k, g := range gather {
+		if g.left {
+			gatherCol(cols[k], l.cols[g.idx], pb.l, 0, len(pb.l), off)
+		} else {
+			gatherCol(cols[k], r.cols[g.idx], pb.r, 0, len(pb.r), off)
+		}
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"reopt/internal/plan"
 	"reopt/internal/rel"
 	"reopt/internal/sql"
+	"reopt/internal/storage"
 )
 
 // tmplScanOf canonicalizes the t1 scan of q for fingerprint tests; the
@@ -110,7 +111,7 @@ func TestTemplateIndexCollision(t *testing.T) {
 		t.Fatal("scan must canonicalize")
 	}
 	cache := NewSkeletonCache()
-	sub := &subResult{sig: "k", count: 1, cols: [][]rel.Value{}}
+	sub := &subResult{sig: "k", count: 1, cols: []*storage.ColData{}}
 	cache.putSub("k", sub)
 	cache.putTemplate("k", tm, sub, nil)
 	if _, hit := cache.getTemplate(tm); !hit {

@@ -54,43 +54,51 @@ func (o *Optimizer) bestScan(e *estimator, i int) *plan.ScanNode {
 	return best
 }
 
-// joinCandidates builds every physical join of left and right and
-// returns the cheapest.
-func (o *Optimizer) bestJoin(e *estimator, leftMask, rightMask uint64, left, right plan.Node) plan.Node {
+// joinChoice is one costed physical join of a split: everything the
+// JoinNode needs except the node itself. The DP compares candidates as
+// scalars and materializes only each cell's winner (buildJoin), so a
+// split costs no node or schema allocation.
+type joinChoice struct {
+	kind                plan.JoinKind
+	left, right         plan.Node
+	leftMask, rightMask uint64
+	preds               []sql.JoinPred
+	outRows             float64
+	cost                float64
+	// Index nested-loop only: the probe predicate (index into preds),
+	// the indexed inner column, and the inner index scan's probe cost.
+	probePred int
+	innerCol  string
+	probeCost float64
+}
+
+// bestJoin costs every physical join of left and right and returns the
+// cheapest; candidates are considered in a fixed order and a later one
+// wins only on strictly lower cost.
+func (o *Optimizer) bestJoin(e *estimator, leftMask, rightMask uint64, left, right plan.Node) joinChoice {
 	preds := e.predsBetween(leftMask, rightMask)
 	outRows := clampRows(e.card(leftMask | rightMask))
 	leftRows := clampRows(e.card(leftMask))
 	rightRows := clampRows(e.card(rightMask))
-	outSchema := left.Schema().Concat(right.Schema())
 
-	mk := func(kind plan.JoinKind, inner plan.Node, cost float64) *plan.JoinNode {
-		return &plan.JoinNode{
-			Kind:      kind,
-			Left:      left,
-			Right:     inner,
-			Preds:     preds,
-			OutSchema: outSchema,
-			Rows:      outRows,
-			CostVal:   cost,
+	best := joinChoice{left: left, right: right, leftMask: leftMask, rightMask: rightMask, preds: preds, outRows: outRows}
+	have := false
+	consider := func(kind plan.JoinKind, cost float64) bool {
+		if have && !(cost < best.cost) {
+			return false
 		}
-	}
-
-	var best plan.Node
-
-	consider := func(n plan.Node) {
-		if best == nil || n.Cost() < best.Cost() {
-			best = n
-		}
+		best.kind, best.cost, have = kind, cost, true
+		return true
 	}
 
 	if len(preds) > 0 {
-		consider(mk(plan.HashJoin, right,
-			o.model.HashJoin(left.Cost(), right.Cost(), leftRows, rightRows, len(preds), outRows)))
-		consider(mk(plan.MergeJoin, right,
-			o.model.MergeJoin(left.Cost(), right.Cost(), leftRows, rightRows, outRows)))
+		consider(plan.HashJoin,
+			o.model.HashJoin(left.Cost(), right.Cost(), leftRows, rightRows, len(preds), outRows))
+		consider(plan.MergeJoin,
+			o.model.MergeJoin(left.Cost(), right.Cost(), leftRows, rightRows, outRows))
 	}
-	consider(mk(plan.NestedLoop, right,
-		o.model.NestLoop(left.Cost(), right.Cost(), leftRows, rightRows, len(preds), outRows)))
+	consider(plan.NestedLoop,
+		o.model.NestLoop(left.Cost(), right.Cost(), leftRows, rightRows, len(preds), outRows))
 
 	// Index nested-loop: the inner side must be a single base relation
 	// with an index on one of the join columns.
@@ -98,8 +106,8 @@ func (o *Optimizer) bestJoin(e *estimator, leftMask, rightMask uint64, left, rig
 		i := bits.TrailingZeros64(rightMask)
 		tr := e.q.Tables[i]
 		t := e.tables[tr.Alias]
-		filters := e.q.SelectionsOn(tr.Alias)
-		for _, p := range preds {
+		nfilters := len(e.q.SelectionsOn(tr.Alias))
+		for pi, p := range preds {
 			innerCol := p.Right
 			if innerCol.Table != tr.Alias {
 				innerCol = p.Left
@@ -118,33 +126,54 @@ func (o *Optimizer) bestJoin(e *estimator, leftMask, rightMask uint64, left, rig
 			if nd > 0 {
 				matchPerProbe = float64(t.NumRows()) / nd
 			}
-			residual := len(filters) + len(preds) - 1
+			residual := nfilters + len(preds) - 1
 			probe := o.model.IndexProbe(idx.Height(), matchPerProbe, residual)
-			cost := o.model.IndexNestLoop(left.Cost(), leftRows, probe, outRows)
-			inner := &plan.ScanNode{
-				Alias:       tr.Alias,
-				Table:       tr.Name,
-				Filters:     filters,
-				Access:      plan.IndexScan,
-				IndexColumn: innerCol.Column,
-				OutSchema:   aliasSchema(t, tr.Alias),
-				Rows:        clampRows(e.card(rightMask)),
-				CostVal:     probe,
+			if consider(plan.IndexNestedLoop, o.model.IndexNestLoop(left.Cost(), leftRows, probe, outRows)) {
+				best.probePred, best.innerCol, best.probeCost = pi, innerCol.Column, probe
 			}
-			// Reorder preds so the probe predicate drives the lookup.
-			ordered := make([]sql.JoinPred, 0, len(preds))
-			ordered = append(ordered, p)
-			for _, q := range preds {
-				if q != p {
-					ordered = append(ordered, q)
-				}
-			}
-			n := mk(plan.IndexNestedLoop, inner, cost)
-			n.Preds = ordered
-			consider(n)
 		}
 	}
 	return best
+}
+
+// buildJoin materializes a costed join choice as a plan node.
+func (o *Optimizer) buildJoin(e *estimator, c joinChoice) *plan.JoinNode {
+	n := &plan.JoinNode{
+		Kind:      c.kind,
+		Left:      c.left,
+		Right:     c.right,
+		Preds:     c.preds,
+		OutSchema: c.left.Schema().Concat(c.right.Schema()),
+		Rows:      c.outRows,
+		CostVal:   c.cost,
+	}
+	if c.kind != plan.IndexNestedLoop {
+		return n
+	}
+	i := bits.TrailingZeros64(c.rightMask)
+	tr := e.q.Tables[i]
+	t := e.tables[tr.Alias]
+	n.Right = &plan.ScanNode{
+		Alias:       tr.Alias,
+		Table:       tr.Name,
+		Filters:     e.q.SelectionsOn(tr.Alias),
+		Access:      plan.IndexScan,
+		IndexColumn: c.innerCol,
+		OutSchema:   aliasSchema(t, tr.Alias),
+		Rows:        clampRows(e.card(c.rightMask)),
+		CostVal:     c.probeCost,
+	}
+	// Reorder preds so the probe predicate drives the lookup.
+	p := c.preds[c.probePred]
+	ordered := make([]sql.JoinPred, 0, len(c.preds))
+	ordered = append(ordered, p)
+	for _, q := range c.preds {
+		if q != p {
+			ordered = append(ordered, q)
+		}
+	}
+	n.Preds = ordered
+	return n
 }
 
 // searchDP runs the Selinger-style dynamic program over relation
@@ -168,9 +197,10 @@ func (o *Optimizer) searchDP(e *estimator) (plan.Node, error) {
 			if requireConnected && !e.connectedSet(s) {
 				continue
 			}
-			var bestNode plan.Node
+			var bestC joinChoice
+			found := false
 			// Pass 1: connected splits only; pass 2 (if needed): any split.
-			for pass := 0; pass < 2 && bestNode == nil; pass++ {
+			for pass := 0; pass < 2 && !found; pass++ {
 				for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
 					other := s &^ sub
 					if !o.cfg.BushyTrees &&
@@ -185,14 +215,13 @@ func (o *Optimizer) searchDP(e *estimator) (plan.Node, error) {
 					if !okL || !okR {
 						continue
 					}
-					cand := o.bestJoin(e, sub, other, l, r)
-					if cand != nil && (bestNode == nil || cand.Cost() < bestNode.Cost()) {
-						bestNode = cand
+					if c := o.bestJoin(e, sub, other, l, r); !found || c.cost < bestC.cost {
+						bestC, found = c, true
 					}
 				}
 			}
-			if bestNode != nil {
-				best[s] = bestNode
+			if found {
+				best[s] = o.buildJoin(e, bestC)
 			}
 		}
 	}

@@ -91,11 +91,7 @@ func (o *Optimizer) leftDeepPlan(e *estimator, perm []int) (plan.Node, error) {
 	for _, i := range perm[1:] {
 		rightMask := uint64(1) << uint(i)
 		right := plan.Node(o.bestScan(e, i))
-		next := o.bestJoin(e, curMask, rightMask, cur, right)
-		if next == nil {
-			return nil, fmt.Errorf("optimizer: no join candidate")
-		}
-		cur = next
+		cur = o.buildJoin(e, o.bestJoin(e, curMask, rightMask, cur, right))
 		curMask |= rightMask
 	}
 	return cur, nil

@@ -233,7 +233,7 @@ type PlanGroup struct {
 	Cache Cache
 }
 
-// EstimatePlanGroupsCtx validates several requesters' plans as ONE
+// EstimatePlanGroupsBudgetCtx validates several requesters' plans as ONE
 // skeleton batch: every subtree of every group becomes one deduplicated
 // task, the combined work partitions across the workers, and each
 // computed sub-result is charged back to every group whose cache covers
@@ -246,14 +246,10 @@ type PlanGroup struct {
 // its perGroup slot without dragging down the other groups; batch-level
 // failures — no samples, a cancelled ctx, an engine fault — surface in
 // err with every group unanswered.
-func EstimatePlanGroupsCtx(ctx context.Context, groups []PlanGroup, cat *catalog.Catalog, workers int) (ests [][]*Estimate, perGroup []error, err error) {
-	return EstimatePlanGroupsBudgetCtx(ctx, groups, cat, workers, 0)
-}
-
-// EstimatePlanGroupsBudgetCtx is EstimatePlanGroupsCtx with a per-plan
-// soft memory budget (memBudget <= 0 means unlimited) and panic
-// containment. A group whose plan breaches the budget or panics gets
-// the failure in its perGroup slot — matching executor.ErrMemoryBudget
+//
+// memBudget is a per-plan soft memory budget (<= 0 means unlimited),
+// with panic containment. A group whose plan breaches the budget or
+// panics gets the failure in its perGroup slot — matching executor.ErrMemoryBudget
 // or executor.ErrValidationPanic respectively — while co-batched groups
 // are unaffected; the failing group's cache is left unpoisoned (failed
 // work stores nothing, completed shared subtrees remain valid).

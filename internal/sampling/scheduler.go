@@ -11,7 +11,7 @@ package sampling
 // similar queries. The Scheduler turns each such pass into a *request*:
 // the round loop submits its candidate plans and blocks on a future,
 // and the scheduler gathers requests across the in-flight queries into
-// one EstimatePlanGroupsCtx wave — subtrees deduplicated across
+// one EstimatePlanGroupsCfg wave — subtrees deduplicated across
 // queries, the combined work list partitioned across the validation
 // workers, and each sub-result charged back to every requester's cache.
 //
