@@ -16,7 +16,7 @@ BENCH_PKGS = $(shell grep -rl --include='*_test.go' 'func Benchmark' . | xargs -
 
 # The hot-path series tracked across PRs (bench-hotpath, bench-json,
 # and the committed BENCH_baseline.json regression gate).
-BENCH_HOTPATH_RE = BenchmarkSamplingEstimatePlan|BenchmarkHashJoinKeys|BenchmarkSamplingValidation|BenchmarkReoptimizeOTT|BenchmarkReoptimizeMultiSeed|BenchmarkWorkloadCache|BenchmarkSessionWorkloadParallel|BenchmarkWorkloadScheduler|BenchmarkExecutorJoinRows|BenchmarkShardedValidation|BenchmarkReoptdHTTP|BenchmarkTemplateWorkload
+BENCH_HOTPATH_RE = BenchmarkSamplingEstimatePlan|BenchmarkHashJoinKeys|BenchmarkSamplingValidation|BenchmarkReoptimizeOTT|BenchmarkSessionReoptimizeOTT|BenchmarkReoptimizeMultiSeed|BenchmarkWorkloadCache|BenchmarkSessionWorkloadParallel|BenchmarkWorkloadScheduler|BenchmarkExecutorJoinRows|BenchmarkShardedValidation|BenchmarkReoptdHTTP|BenchmarkTemplateWorkload
 
 .PHONY: all vet build test race check lint chaos examples serve-smoke bench bench-smoke bench-hotpath bench-json bench-compare bench-baseline
 
@@ -107,9 +107,10 @@ bench-json:
 	$(GO) run ./cmd/benchjson -in bench.out -sha $(BENCH_SHA) -out BENCH_$(BENCH_SHA).json
 
 # bench-compare regenerates the hot-path series and fails on a >25%
-# ns/op regression against the committed baseline (or on a benchmark
-# silently dropping out of the series). CI runs it with GOMAXPROCS>=2;
-# the verdict lines land in BENCH_compare.txt for the artifact upload.
+# ns/op or B/op regression against the committed baseline (or on a
+# benchmark silently dropping out of the series). CI runs it with
+# GOMAXPROCS>=2; the verdict lines land in BENCH_compare.txt for the
+# artifact upload.
 bench-compare: bench-json
 	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -against BENCH_$(BENCH_SHA).json -max-regress 25 | tee BENCH_compare.txt
 

@@ -179,6 +179,44 @@ func BenchmarkReoptimizeOTT(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionReoptimizeOTT times Algorithm 1 the way a library
+// caller runs it: reopt.Open(cat) with its defaults over the default
+// OTT catalog, cycling distinct 5-table m=4 instances (§5.3) so every
+// query validates cold.
+func BenchmarkSessionReoptimizeOTT(b *testing.B) {
+	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	all, err := reopt.OTTQueries(cat, reopt.OTTQueryConfig{
+		NumTables: 5, SameConstant: 4, Count: 64, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var qs []*reopt.Query
+	seen := map[string]bool{}
+	for _, q := range all {
+		if s := q.String(); !seen[s] {
+			seen[s] = true
+			qs = append(qs, q)
+		}
+	}
+	s, err := reopt.Open(cat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Reoptimize(ctx, qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSamplingValidation times one skeleton run over the samples.
 func BenchmarkSamplingValidation(b *testing.B) {
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 1, RowsPerValue: 20})

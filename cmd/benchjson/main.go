@@ -15,11 +15,11 @@
 // With -baseline, benchjson runs in compare mode instead: it diffs a
 // fresh report (-against, or one parsed from -in/stdin) against a
 // committed baseline report and exits non-zero when any benchmark
-// present in the baseline regressed its ns/op by more than -max-regress
-// percent — or silently vanished from the series, which is how a
-// renamed Makefile pattern or deleted benchmark would otherwise slip
-// through. Benchmarks new in the fresh report are listed, never failed:
-// they have no baseline yet.
+// present in the baseline regressed its ns/op or its B/op by more than
+// -max-regress percent — or silently vanished from the series, which
+// is how a renamed Makefile pattern or deleted benchmark would
+// otherwise slip through. Benchmarks new in the fresh report are
+// listed, never failed: they have no baseline yet.
 //
 //	benchjson -baseline BENCH_baseline.json -against BENCH_abc1234.json -max-regress 25
 package main
@@ -63,7 +63,7 @@ func main() {
 		sha        = flag.String("sha", "", "commit the numbers belong to")
 		baseline   = flag.String("baseline", "", "baseline JSON report; enables compare mode")
 		against    = flag.String("against", "", "fresh JSON report to diff with -baseline (default: parse -in/stdin as bench output)")
-		maxRegress = flag.Float64("max-regress", 25, "compare mode: fail when ns/op regresses more than this percent")
+		maxRegress = flag.Float64("max-regress", 25, "compare mode: fail when ns/op or B/op regresses more than this percent")
 	)
 	flag.Parse()
 
@@ -134,7 +134,8 @@ func loadReport(path string) (*Report, error) {
 }
 
 // compare diffs fresh against base and reports per-benchmark verdicts
-// to w: a regression beyond maxRegress percent ns/op fails, as does a
+// to w: a regression beyond maxRegress percent in ns/op, or in B/op
+// where the baseline recorded allocations, fails, as does a
 // baseline benchmark missing from the fresh report (a series that
 // silently lost a benchmark must not read as green). Returns true when
 // everything passed. Comparisons are keyed by package + name, so the
@@ -147,7 +148,7 @@ func compare(w io.Writer, base, fresh *Report, maxRegress float64) bool {
 	}
 	baseKeys := make(map[string]bool, len(base.Benchmarks))
 	pass := true
-	fmt.Fprintf(w, "benchjson: comparing %s (fresh) against %s (baseline), max ns/op regression %.0f%%\n",
+	fmt.Fprintf(w, "benchjson: comparing %s (fresh) against %s (baseline), max ns/op and B/op regression %.0f%%\n",
 		shaOr(fresh.SHA, "worktree"), shaOr(base.SHA, "unknown"), maxRegress)
 	for _, ob := range base.Benchmarks {
 		key := ob.Pkg + " " + ob.Name
@@ -162,13 +163,20 @@ func compare(w io.Writer, base, fresh *Report, maxRegress float64) bool {
 			fmt.Fprintf(w, "skip %-60s baseline has no ns/op\n", ob.Name)
 			continue
 		}
-		delta := (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp * 100
 		verdict := "ok  "
-		if delta > maxRegress {
-			verdict = "FAIL"
-			pass = false
+		delta := func(old, cur float64, unit string) string {
+			d := (cur - old) / old * 100
+			if d > maxRegress {
+				verdict = "FAIL"
+				pass = false
+			}
+			return fmt.Sprintf(" %12.0f -> %12.0f %s  %+6.1f%%", old, cur, unit, d)
 		}
-		fmt.Fprintf(w, "%s %-60s %12.0f -> %12.0f ns/op  %+6.1f%%\n", verdict, ob.Name, ob.NsPerOp, nb.NsPerOp, delta)
+		diff := delta(ob.NsPerOp, nb.NsPerOp, "ns/op")
+		if ob.BytesPerOp > 0 {
+			diff += " " + delta(ob.BytesPerOp, nb.BytesPerOp, "B/op")
+		}
+		fmt.Fprintf(w, "%s %-60s%s\n", verdict, ob.Name, diff)
 	}
 	for _, nb := range fresh.Benchmarks {
 		if !baseKeys[nb.Pkg+" "+nb.Name] {

@@ -53,6 +53,33 @@ func TestCompareVerdicts(t *testing.T) {
 	}
 }
 
+// TestCompareGatesBytes: B/op is gated at the same percentage as
+// ns/op, so an allocation regression fails at flat ns/op; a baseline
+// entry without B/op is gated on ns/op alone.
+func TestCompareGatesBytes(t *testing.T) {
+	base := rep(
+		Benchmark{Pkg: "p", Name: "BenchmarkAlloc", NsPerOp: 1000, BytesPerOp: 1000},
+		Benchmark{Pkg: "p", Name: "BenchmarkNoBytes", NsPerOp: 1000},
+	)
+	fresh := rep(
+		Benchmark{Pkg: "p", Name: "BenchmarkAlloc", NsPerOp: 1000, BytesPerOp: 1240},
+		Benchmark{Pkg: "p", Name: "BenchmarkNoBytes", NsPerOp: 1000, BytesPerOp: 5000},
+	)
+	var out strings.Builder
+	if !compare(&out, base, fresh, 25) {
+		t.Fatalf("in-budget B/op diff failed:\n%s", out.String())
+	}
+
+	fresh.Benchmarks[0].BytesPerOp = 1300
+	out.Reset()
+	if compare(&out, base, fresh, 25) {
+		t.Fatalf("30%% B/op regression passed:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "FAIL BenchmarkAlloc") || !strings.Contains(out.String(), "B/op") {
+		t.Errorf("B/op regression not flagged:\n%s", out.String())
+	}
+}
+
 // TestCompareKeysByPackage: identically named benchmarks in different
 // packages are distinct series.
 func TestCompareKeysByPackage(t *testing.T) {

@@ -166,7 +166,8 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 	// counts round 1's optimization as overhead. The validation is
 	// shielded from the budget deadline so every started run produces a
 	// result; only the caller's own termination aborts it.
-	if err := r.validateInto(outer, q, p1, gamma, res, nil, nil, cache, 0); err != nil {
+	ch := chain{seen: map[string]bool{}}
+	if err := r.validateRound(outer, q, &ch, p1, p1.Fingerprint(), gamma, res, cache, 0); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			// The caller's own deadline fired mid-validation: the
 			// un-validated seed is still the best answer this run has.
@@ -176,10 +177,6 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 		}
 		return nil, err
 	}
-	prev := p1
-	trees := []plan.JoinTree{plan.TreeOf(p1)}
-	seen := map[string]bool{p1.Fingerprint(): true}
-	res.NumPlans = 1
 
 	for i := 2; ; i++ {
 		t0 := time.Now()
@@ -192,11 +189,12 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 		// the terminal one that merely re-produces P_n), so all of them
 		// count toward the overhead, exactly as in Reoptimize.
 		res.ReoptTime += optTime
-		if p.Fingerprint() == prev.Fingerprint() {
+		fp := p.Fingerprint()
+		if fp == ch.fp {
 			res.Converged = true
 			break
 		}
-		if err := r.validateInto(run, q, p, gamma, res, prev, trees, cache, optTime); err != nil {
+		if err := r.validateRound(run, q, &ch, p, fp, gamma, res, cache, optTime); err != nil {
 			if errors.Is(err, context.Canceled) {
 				return nil, err
 			}
@@ -205,12 +203,6 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 			}
 			return nil, err
 		}
-		if !seen[p.Fingerprint()] {
-			seen[p.Fingerprint()] = true
-			res.NumPlans++
-		}
-		trees = append(trees, plan.TreeOf(p))
-		prev = p
 		if r.Opts.MaxRounds > 0 && i >= r.Opts.MaxRounds {
 			break
 		}
@@ -221,38 +213,6 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 			break
 		}
 	}
-	res.Final = r.pickFinal(q, res, prev)
+	res.Final = r.pickFinal(q, res, ch.prev)
 	return res, nil
-}
-
-// validateInto validates p over samples, merges Δ into gamma, and
-// appends the round record. optTime is the optimizer time already spent
-// producing p this round (zero for a handed-in seed plan); sampling
-// time is measured as wall time around the estimator call, like
-// Reoptimize, so multi-seed ReoptTime is comparable to single-seed.
-func (r *Reoptimizer) validateInto(ctx context.Context, q *sql.Query, p *plan.Plan, gamma *optimizer.Gamma, res *Result, prev *plan.Plan, trees []plan.JoinTree, cache sampling.Cache, optTime time.Duration) error {
-	round := Round{
-		Plan:              p,
-		Transform:         plan.Classify(prev, p),
-		CoveredByPrevious: plan.Covered(plan.TreeOf(p), trees),
-		OptimizeTime:      optTime,
-	}
-	t1 := time.Now()
-	est, err := r.estimateBatched(ctx, prev, p, cache)
-	if err != nil {
-		return err
-	}
-	round.SamplingTime = time.Since(t1)
-	res.ReoptTime += round.SamplingTime
-	delta := est.Delta
-	if r.Opts.Conservative {
-		delta = r.blend(q, est)
-	}
-	round.GammaAdded = gamma.Merge(delta)
-	if rp, err := r.Opt.Recost(q, p, gamma); err == nil {
-		round.SampledCost = rp.Cost()
-		round.Plan = rp
-	}
-	res.Rounds = append(res.Rounds, round)
-	return nil
 }

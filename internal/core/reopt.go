@@ -17,7 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"strings"
 	"time"
 
 	"reopt/internal/catalog"
@@ -87,10 +87,10 @@ type Options struct {
 	// estimates, only when they are computed.
 	Cache *sampling.WorkloadCache
 	// Validator optionally reroutes every validation the round loop
-	// issues — candidate plans, the batched previous plan, multi-seed
-	// round-1 batches — through an external engine, e.g. a
-	// sampling.SchedulerClient that coalesces validations across
-	// concurrently re-optimizing queries into shared skeleton waves.
+	// issues — candidate plans and multi-seed round-1 batches — through
+	// an external engine, e.g. a sampling.SchedulerClient that coalesces
+	// validations across concurrently re-optimizing queries into shared
+	// skeleton waves.
 	// nil validates directly via sampling.EstimatePlansCtx with
 	// Options.Workers. A Validator must return estimates byte-identical
 	// to the direct path (batching and caching may change when counts
@@ -243,9 +243,7 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 	// promotes it to the workload level.
 	cache := r.runCache()
 
-	var prev *plan.Plan
-	var trees []plan.JoinTree
-	seen := map[string]bool{}
+	ch := chain{seen: map[string]bool{}}
 
 	for i := 1; ; i++ {
 		t0 := time.Now()
@@ -259,7 +257,8 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 		}
 
 		// Termination test of Algorithm 1 (lines 6-8).
-		if prev != nil && p.Fingerprint() == prev.Fingerprint() {
+		fp := p.Fingerprint()
+		if ch.prev != nil && fp == ch.fp {
 			res.Converged = true
 			break
 		}
@@ -277,28 +276,14 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 			return res, nil
 		}
 
-		round := Round{
-			Plan:              p,
-			Transform:         plan.Classify(prev, p),
-			CoveredByPrevious: plan.Covered(plan.TreeOf(p), trees),
-			OptimizeTime:      optTime,
-		}
-
-		// Validation (lines 9-10): Δ ← sampling; Γ ← Γ ∪ Δ. The
-		// candidate is batched with the previous round's plan: the pair
-		// shares one skeleton pass, and since the previous plan is fully
-		// cached, its presence costs only lookups while letting the
-		// engine fan the combined work out across workers. Round 1
-		// validates under the caller's context only, shielded from the
-		// internal budget deadline, so a Timeout run always has one
-		// validated round to return.
+		// Round 1 validates under the caller's context only, shielded
+		// from the internal budget deadline, so a Timeout run always has
+		// one validated round to return.
 		vctx := run
 		if i == 1 {
 			vctx = outer
 		}
-		t1 := time.Now()
-		est, err := r.estimateBatched(vctx, prev, p, cache)
-		if err != nil {
+		if err := r.validateRound(vctx, q, &ch, p, fp, gamma, res, cache, optTime); err != nil {
 			if errors.Is(err, context.Canceled) {
 				return nil, err
 			}
@@ -316,29 +301,6 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 			}
 			return nil, fmt.Errorf("core: round %d: %w", i, err)
 		}
-		round.SamplingTime = time.Since(t1)
-		res.ReoptTime += round.SamplingTime
-
-		delta := est.Delta
-		if r.Opts.Conservative {
-			delta = r.blend(q, est)
-		}
-		round.GammaAdded = gamma.Merge(delta)
-
-		// Re-cost P_i under the merged Γ for the trace (cost_s).
-		if rp, err := r.Opt.Recost(q, p, gamma); err == nil {
-			round.SampledCost = rp.Cost()
-			round.Plan = rp
-		}
-
-		res.Rounds = append(res.Rounds, round)
-		if !seen[p.Fingerprint()] {
-			seen[p.Fingerprint()] = true
-			res.NumPlans++
-		}
-		trees = append(trees, plan.TreeOf(p))
-		prev = p
-
 		if r.Opts.MaxRounds > 0 && i >= r.Opts.MaxRounds {
 			break
 		}
@@ -353,8 +315,65 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 		}
 	}
 
-	res.Final = r.pickFinal(q, res, prev)
+	res.Final = r.pickFinal(q, res, ch.prev)
 	return res, nil
+}
+
+// chain is what one Algorithm 1 loop carries from round to round: the
+// last validated plan with its fingerprint and join tree, the join
+// trees of every validated plan, and the distinct fingerprints seen.
+// Each plan's fingerprint and tree are computed once, as it arrives.
+type chain struct {
+	prev  *plan.Plan
+	fp    string
+	tree  plan.JoinTree
+	trees []plan.JoinTree
+	seen  map[string]bool
+}
+
+// validateRound is one round's body after the termination test: it
+// validates candidate p (fingerprint fp) alone — the earlier plans'
+// subtrees are already cached, so p's shared subtrees are lookups —
+// merges Δ into Γ (Algorithm 1 lines 9-10), appends the round record,
+// and advances the chain to p. optTime is the optimizer time spent
+// producing p (zero for a handed-in seed plan); sampling time is the
+// wall time around the estimator call. On error nothing is recorded.
+func (r *Reoptimizer) validateRound(ctx context.Context, q *sql.Query, ch *chain, p *plan.Plan, fp string, gamma *optimizer.Gamma, res *Result, cache sampling.Cache, optTime time.Duration) error {
+	tree := plan.TreeOf(p)
+	round := Round{
+		Plan:              p,
+		Transform:         plan.Global,
+		CoveredByPrevious: plan.Covered(tree, ch.trees),
+		OptimizeTime:      optTime,
+	}
+	if ch.prev != nil {
+		round.Transform = plan.ClassifyBy(ch.fp, fp, ch.tree, tree)
+	}
+	t1 := time.Now()
+	ests, err := r.validatePlans(ctx, []*plan.Plan{p}, cache)
+	if err != nil {
+		return err
+	}
+	round.SamplingTime = time.Since(t1)
+	res.ReoptTime += round.SamplingTime
+	delta := ests[0].Delta
+	if r.Opts.Conservative {
+		delta = r.blend(q, ests[0])
+	}
+	round.GammaAdded = gamma.Merge(delta)
+	// Re-cost P_i under the merged Γ for the trace (cost_s).
+	if rp, err := r.Opt.Recost(q, p, gamma); err == nil {
+		round.SampledCost = rp.Cost()
+		round.Plan = rp
+	}
+	res.Rounds = append(res.Rounds, round)
+	if !ch.seen[fp] {
+		ch.seen[fp] = true
+		res.NumPlans++
+	}
+	ch.trees = append(ch.trees, tree)
+	ch.prev, ch.fp, ch.tree = p, fp, tree
+	return nil
 }
 
 // pickFinal returns the converged fixed point, or — after an early stop —
@@ -398,20 +417,8 @@ func (r *Reoptimizer) blend(q *sql.Query, est *sampling.Estimate) map[string]flo
 	return out
 }
 
-func splitKey(key string) []string {
-	var out []string
-	cur := ""
-	for i := 0; i < len(key); i++ {
-		if key[i] == '\x1f' {
-			out = append(out, cur)
-			cur = ""
-			continue
-		}
-		cur += string(key[i])
-	}
-	out = append(out, cur)
-	return out
-}
+// splitKey decodes a Γ key (optimizer.GammaKeyFor) into its aliases.
+func splitKey(key string) []string { return strings.Split(key, plan.AliasSep) }
 
 // runCache returns the validation cache for one re-optimization: the
 // configured workload-level cache, or a fresh per-run cache.
@@ -420,30 +427,6 @@ func (r *Reoptimizer) runCache() sampling.Cache {
 		return r.Opts.Cache
 	}
 	return sampling.NewValidationCache()
-}
-
-// estimateBatched validates the candidate plan, batched with the
-// previously validated plan when one exists (the two share one
-// partitioned skeleton pass; see sampling.EstimatePlans), and returns
-// the candidate's estimate — byte-identical to estimating it alone.
-// The previous plan is fully cached, so its presence costs lookups
-// while widening the combined work list the engine partitions; with
-// only one effective worker there is nothing to widen, so the
-// candidate goes alone.
-func (r *Reoptimizer) estimateBatched(ctx context.Context, prev, p *plan.Plan, cache sampling.Cache) (*sampling.Estimate, error) {
-	plans := []*plan.Plan{p}
-	workers := r.Opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if prev != nil && workers > 1 {
-		plans = []*plan.Plan{prev, p}
-	}
-	ests, err := r.validatePlans(ctx, plans, cache)
-	if err != nil {
-		return nil, err
-	}
-	return ests[len(ests)-1], nil
 }
 
 // validatePlans routes one validation through the injected Validator

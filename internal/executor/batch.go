@@ -302,9 +302,10 @@ type cacheRef struct {
 // batchTask is one deduplicated logical subtree of the batch. Exactly
 // one of scan/join is set; left/right are set for joins.
 type batchTask struct {
-	seq   int    // creation order
-	key   string // dedupe key: signature + boundary refs
-	sig   string // canonical subtree signature (cache-independent)
+	seq   int      // creation order
+	key   string   // dedupe key: signature + boundary refs
+	sig   string   // canonical subtree signature (cache-independent)
+	sigs  sigParts // sig in parts, for the parent join's signature
 	crefs []cacheRef
 	q     *sql.Query
 	refs  []sql.ColRef
@@ -523,13 +524,17 @@ func (t *batchTask) failedPanic() *capturedPanic {
 }
 
 // probePart is one probe span's private output: its match count, its
-// matches as row-id pairs (empty for count-only joins), and its offset
-// in the task's output columns.
+// matches as row-id pairs (nil for count-only joins), and its offset in
+// the task's output columns.
 type probePart struct {
 	count int
 	off   int
-	pairs pairBuf
+	pairs *pairBuf
 }
+
+// pairPool recycles probe pair buffers across join waves and
+// validations: a span's pairs live only from its probe to its gather.
+var pairPool = sync.Pool{New: func() any { return new(pairBuf) }}
 
 // batchBuilder deduplicates subtrees across the submitted plans.
 type batchBuilder struct {
@@ -552,15 +557,16 @@ func refsSuffix(refs []sql.ColRef) string {
 func (b *batchBuilder) taskFor(n plan.Node, q *sql.Query, cache *SkeletonCache, m map[plan.Node]*batchTask) (*batchTask, error) {
 	switch t := n.(type) {
 	case *plan.ScanNode:
-		refs := boundaryColumns(q, []string{t.Alias})
-		sig := subtreeSig(t)
+		sigs := scanSig(t)
+		refs := boundaryColumns(q, sigs.aliases)
+		sig := sigs.String()
 		key := sig + refsSuffix(refs)
 		if bt, ok := b.tasks[key]; ok {
 			bt.addCache(cache)
 			m[n] = bt
 			return bt, nil
 		}
-		bt := &batchTask{seq: len(b.order), key: key, sig: sig, q: q, refs: refs, scan: t}
+		bt := &batchTask{seq: len(b.order), key: key, sig: sig, sigs: sigs, q: q, refs: refs, scan: t}
 		bt.addCache(cache)
 		bt.filterPos = make([]int, len(t.Filters))
 		for fi, f := range t.Filters {
@@ -594,8 +600,9 @@ func (b *batchBuilder) taskFor(n plan.Node, q *sql.Query, cache *SkeletonCache, 
 		if err != nil {
 			return nil, err
 		}
-		refs := boundaryColumns(q, t.Aliases())
-		sig := subtreeSig(t)
+		sigs := joinSig(t, l.sigs, r.sigs)
+		refs := boundaryColumns(q, sigs.aliases)
+		sig := sigs.String()
 		key := sig + refsSuffix(refs)
 		if bt, ok := b.tasks[key]; ok {
 			bt.addCache(cache)
@@ -603,7 +610,7 @@ func (b *batchBuilder) taskFor(n plan.Node, q *sql.Query, cache *SkeletonCache, 
 			return bt, nil
 		}
 		bt := &batchTask{
-			seq: len(b.order), key: key, sig: sig, q: q, refs: refs,
+			seq: len(b.order), key: key, sig: sig, sigs: sigs, q: q, refs: refs,
 			join: t, left: l, right: r,
 		}
 		bt.wave = l.wave + 1
@@ -1308,12 +1315,11 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 				}
 				s := t.pspans[si]
 				part := &t.parts[si]
-				var pb *pairBuf
 				if len(t.gather) > 0 {
-					pb = &part.pairs
+					part.pairs = pairPool.Get().(*pairBuf)
 				}
 				part.count = probeRange(t.left.sub, t.right.sub, t.table,
-					t.lkey, t.rkey, pb, s.lo, s.hi)
+					t.lkey, t.rkey, part.pairs, s.lo, s.hi)
 			}})
 		}
 	}
@@ -1346,7 +1352,7 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 			}
 			part := &t.parts[pi]
 			units = append(units, workUnit{fail: t.failWith, run: func() {
-				gatherPairs(t.cols, t.gather, t.left.sub, t.right.sub, &part.pairs, part.off)
+				gatherPairs(t.cols, t.gather, t.left.sub, t.right.sub, part.pairs, part.off)
 			}})
 		}
 	}
@@ -1361,6 +1367,12 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 			}
 			t.sub = &subResult{sig: t.primaryKey(), count: t.selTotal, refs: t.refs, cols: t.cols}
 			t.storeSub(t.sub, -1)
+		}
+		for _, part := range t.parts {
+			if pb := part.pairs; pb != nil {
+				pb.l, pb.r = pb.l[:0], pb.r[:0]
+				pairPool.Put(pb)
+			}
 		}
 		t.table, t.parts, t.pspans, t.cols = nil, nil, nil, nil
 	}

@@ -189,7 +189,7 @@ func CountSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*s
 		counts:    make(map[plan.Node]int64),
 		mem:       memAccount{budget: cfg.MemBudget},
 	}
-	if _, err := e.eval(p.Root); err != nil {
+	if _, _, err := e.eval(p.Root); err != nil {
 		return nil, err
 	}
 	return e.counts, nil
@@ -264,56 +264,100 @@ func intsBuf(buf *[]int, n int) []int {
 	return (*buf)[:n]
 }
 
-func (e *skelEngine) eval(n plan.Node) (*subResult, error) {
+func (e *skelEngine) eval(n plan.Node) (*subResult, sigParts, error) {
 	// Cancellation point: once per node. Nodes are bounded by the sample
 	// sizes, so the latency between checks is one subtree's scan or probe.
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
-			return nil, err
+			return nil, sigParts{}, err
 		}
 	}
-	if faultinject.Active() {
-		faultinject.Fire(faultinject.SkelNode, subtreeSig(n))
-	}
+	// Signatures are built bottom-up, and only when something keys on
+	// them: the cache, or a fault-injection rule.
+	keyed := e.cache != nil || faultinject.Active()
 	var sub *subResult
+	var sg sigParts
 	var err error
 	switch t := n.(type) {
 	case *plan.ScanNode:
-		sub, err = e.evalScan(t)
+		if keyed {
+			sg = scanSig(t)
+		}
+		fireNode(sg)
+		sub, err = e.evalScan(t, sg)
 	case *plan.JoinNode:
-		sub, err = e.evalJoin(t)
+		// Children are evaluated (or served from cache) first so that
+		// every node of the current plan gets a count, even under a
+		// subtree cache hit at this level.
+		var l, r *subResult
+		var lsg, rsg sigParts
+		if l, lsg, err = e.eval(t.Left); err != nil {
+			return nil, sigParts{}, err
+		}
+		if r, rsg, err = e.eval(t.Right); err != nil {
+			return nil, sigParts{}, err
+		}
+		if keyed {
+			sg = joinSig(t, lsg, rsg)
+		}
+		fireNode(sg)
+		sub, err = e.evalJoin(t, l, r, sg)
 	default:
 		err = fmt.Errorf("executor: cannot evaluate %T: %w", n, ErrSkeletonUnsupported)
 	}
 	if err != nil {
-		return nil, err
+		return nil, sigParts{}, err
 	}
 	e.counts[n] = int64(sub.count)
-	return sub, nil
+	return sub, sg, nil
 }
 
-// subtreeSig canonically identifies the logical sub-result a subtree
-// computes: its relation set plus every predicate applied within it
-// (scan filters and join predicates), order-insensitively. Join-order
-// permutations of the same logical subtree produce the same signature,
-// because each query predicate is applied exactly once inside it.
-func subtreeSig(n plan.Node) string {
-	var toks []string
-	plan.Walk(n, func(m plan.Node) {
-		switch t := m.(type) {
-		case *plan.ScanNode:
-			toks = append(toks, "T:"+t.Alias+"="+t.Table)
-			for _, f := range t.Filters {
-				toks = append(toks, "F:"+f.String())
-			}
-		case *plan.JoinNode:
-			for _, p := range t.Preds {
-				toks = append(toks, "J:"+p.Canonical().String())
-			}
-		}
-	})
+// fireNode fires the SkelNode fault point for a node about to do its
+// own work (a join's children have already run).
+func fireNode(sg sigParts) {
+	if faultinject.Active() {
+		faultinject.Fire(faultinject.SkelNode, sg.String())
+	}
+}
+
+// sigParts is a subtree's canonical signature in parts: its relation
+// set and every predicate applied within it (scan tables and filters,
+// join predicates) as tokens, each list sorted. Join-order permutations
+// of the same logical subtree have the same parts, because each query
+// predicate is applied exactly once inside it. Both engines build parts
+// bottom-up — a join's from its children's plus its own predicates —
+// so a plan's signatures cost one pass, not a walk per node.
+type sigParts struct {
+	aliases, toks []string
+}
+
+// scanSig returns a scan's signature parts.
+func scanSig(t *plan.ScanNode) sigParts {
+	toks := make([]string, 0, 1+len(t.Filters))
+	toks = append(toks, "T:"+t.Alias+"="+t.Table)
+	for _, f := range t.Filters {
+		toks = append(toks, "F:"+f.String())
+	}
 	sort.Strings(toks)
-	return plan.CanonicalSet(n.Aliases()) + "||" + strings.Join(toks, "&")
+	return sigParts{aliases: []string{t.Alias}, toks: toks}
+}
+
+// joinSig returns a join's signature parts from its children's.
+func joinSig(t *plan.JoinNode, l, r sigParts) sigParts {
+	aliases := append(append(make([]string, 0, len(l.aliases)+len(r.aliases)), l.aliases...), r.aliases...)
+	toks := append(append(make([]string, 0, len(l.toks)+len(r.toks)+len(t.Preds)), l.toks...), r.toks...)
+	for _, p := range t.Preds {
+		toks = append(toks, "J:"+p.Canonical().String())
+	}
+	sort.Strings(aliases)
+	sort.Strings(toks)
+	return sigParts{aliases: aliases, toks: toks}
+}
+
+// String renders the signature: the canonical alias set, then the
+// predicate tokens.
+func (s sigParts) String() string {
+	return plan.EncodeAliases(s.aliases) + "||" + strings.Join(s.toks, "&")
 }
 
 // boundaryColumns returns, for a relation set, the columns any ancestor
@@ -448,11 +492,11 @@ func runSpans(spans []span, fn func(part int, s span)) {
 
 // --- Leaf scans ---
 
-func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
+func (e *skelEngine) evalScan(t *plan.ScanNode, sg sigParts) (*subResult, error) {
 	refs := boundaryColumns(e.q, []string{t.Alias})
 	var key string
 	if e.cache != nil {
-		key = e.cache.subKey(subtreeSig(t), refs)
+		key = e.cache.subKey(sg.String(), refs)
 		if sub, ok := e.cache.getSub(key); ok {
 			// Budget accounting is cache-independent: a hit charges what
 			// computing the sub-result would have.
@@ -530,7 +574,7 @@ func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
 	}
 	var sig string
 	if len(shards) > 1 && faultinject.Active() {
-		sig = subtreeSig(t)
+		sig = sg.String()
 	}
 	sels := make([][]int32, len(shards))
 	count := 0
@@ -822,22 +866,11 @@ func compileRange(col *storage.ColData, lo, hi rel.Value) scanPass {
 
 // --- Joins ---
 
-func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
-	// Children are evaluated (or served from cache) first so that every
-	// node of the current plan gets a count, even under a subtree cache
-	// hit at this level.
-	l, err := e.eval(t.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := e.eval(t.Right)
-	if err != nil {
-		return nil, err
-	}
+func (e *skelEngine) evalJoin(t *plan.JoinNode, l, r *subResult, sg sigParts) (*subResult, error) {
 	outRefs := boundaryColumns(e.q, t.Aliases())
 	var key string
 	if e.cache != nil {
-		key = e.cache.subKey(subtreeSig(t), outRefs)
+		key = e.cache.subKey(sg.String(), outRefs)
 		if sub, ok := e.cache.getSub(key); ok {
 			// Charge what computing this join would have: its hash-table
 			// entries (one per right row) plus its output cells, keeping

@@ -4,7 +4,7 @@ package executor
 //
 // Parametrized workloads are overwhelmingly few *templates* times many
 // constants: `price < 100` and `price < 200` share everything but the
-// literal. The exact-subtree machinery (subtreeSig keys, batch dedupe)
+// literal. The exact-subtree machinery (signature keys, batch dedupe)
 // treats those as unrelated, so every constant pays a full sample scan.
 // This file adds the constant-stripped view: a scanTemplate canonically
 // identifies a filtered scan's *shape* — table, boundary columns,

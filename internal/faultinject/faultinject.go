@@ -34,8 +34,9 @@ type Point string
 // identities so tests target semantic work units, not scheduling
 // accidents.
 const (
-	// SkelNode fires before the single-plan engine evaluates a node.
-	// Tag: the node's canonical subtree signature.
+	// SkelNode fires before the single-plan engine does a node's own
+	// work, after a join's children have run. Tag: the node's canonical
+	// subtree signature.
 	SkelNode Point = "executor.skeleton.node"
 	// ScanUnit fires inside a batch scan work unit. Tag: the task's
 	// subtree signature.

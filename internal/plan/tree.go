@@ -22,19 +22,20 @@ type JoinTree struct {
 	Joins []JoinSig
 }
 
-// sep separates alias names inside encodings so multi-character aliases
-// cannot collide ("AB"+"C" vs "A"+"BC").
-const sep = "\x1f"
+// AliasSep separates alias names inside encodings (and so inside Γ
+// keys) so multi-character aliases cannot collide ("AB"+"C" vs
+// "A"+"BC").
+const AliasSep = "\x1f"
 
 // EncodeAliases joins alias names into an ordered encoding.
-func EncodeAliases(aliases []string) string { return strings.Join(aliases, sep) }
+func EncodeAliases(aliases []string) string { return strings.Join(aliases, AliasSep) }
 
 // CanonicalSet returns the unordered (sorted) encoding of an alias set.
 func CanonicalSet(aliases []string) string {
 	s := make([]string, len(aliases))
 	copy(s, aliases)
 	sort.Strings(s)
-	return strings.Join(s, sep)
+	return strings.Join(s, AliasSep)
 }
 
 // TreeOf extracts the join tree of a physical plan: one JoinSig per join
@@ -77,7 +78,7 @@ func (t JoinTree) UnorderedSet() map[string]bool {
 func (t JoinTree) Encoding() string {
 	parts := make([]string, len(t.Joins))
 	for i, j := range t.Joins {
-		parts[i] = strings.ReplaceAll(j.Ordered, sep, "")
+		parts[i] = strings.ReplaceAll(j.Ordered, AliasSep, "")
 	}
 	return "(" + strings.Join(parts, ",") + ")"
 }
@@ -170,10 +171,16 @@ func Classify(prev, next *Plan) TransformKind {
 	if prev == nil {
 		return Global
 	}
-	if prev.Fingerprint() == next.Fingerprint() {
+	return ClassifyBy(prev.Fingerprint(), next.Fingerprint(), TreeOf(prev), TreeOf(next))
+}
+
+// ClassifyBy is Classify of two plans given by their fingerprints and
+// join trees, for callers that already hold them.
+func ClassifyBy(prevFP, nextFP string, prevTree, nextTree JoinTree) TransformKind {
+	if prevFP == nextFP {
 		return SamePlan
 	}
-	if LocalTransformation(TreeOf(prev), TreeOf(next)) {
+	if LocalTransformation(prevTree, nextTree) {
 		return Local
 	}
 	return Global

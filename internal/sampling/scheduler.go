@@ -3,17 +3,17 @@ package sampling
 // Scheduler: workload-level coalescing of validation work.
 //
 // The batch estimator amortizes shared scans *within* one call — one
-// query's candidate batched with its previous plan, or one multi-seed
-// run's round-1 candidates. A workload re-optimized concurrently leaves
-// the bigger win on the table: at any instant several queries sit in
-// their Algorithm-1 round loops, each about to run a skeleton pass over
-// the same samples, and those passes overlap heavily on a workload of
-// similar queries. The Scheduler turns each such pass into a *request*:
-// the round loop submits its candidate plans and blocks on a future,
-// and the scheduler gathers requests across the in-flight queries into
-// one EstimatePlanGroupsCfg wave — subtrees deduplicated across
-// queries, the combined work list partitioned across the validation
-// workers, and each sub-result charged back to every requester's cache.
+// multi-seed run's round-1 candidates. A workload re-optimized
+// concurrently leaves the bigger win on the table: at any instant
+// several queries sit in their Algorithm-1 round loops, each about to
+// run a skeleton pass over the same samples, and those passes overlap
+// heavily on a workload of similar queries. The Scheduler turns each
+// such pass into a *request*: the round loop submits its candidate
+// plans and blocks on a future, and the scheduler gathers requests
+// across the in-flight queries into one EstimatePlanGroupsCfg wave —
+// subtrees deduplicated across queries, the combined work list
+// partitioned across the validation workers, and each sub-result
+// charged back to every requester's cache.
 //
 // Flush triggers, in priority order:
 //
