@@ -16,7 +16,7 @@ BENCH_PKGS = $(shell grep -rl --include='*_test.go' 'func Benchmark' . | xargs -
 
 # The hot-path series tracked across PRs (bench-hotpath, bench-json,
 # and the committed BENCH_baseline.json regression gate).
-BENCH_HOTPATH_RE = BenchmarkSamplingEstimatePlan|BenchmarkHashJoinKeys|BenchmarkSamplingValidation|BenchmarkReoptimizeOTT|BenchmarkSessionReoptimizeOTT|BenchmarkReoptimizeMultiSeed|BenchmarkWorkloadCache|BenchmarkSessionWorkloadParallel|BenchmarkWorkloadScheduler|BenchmarkExecutorJoinRows|BenchmarkShardedValidation|BenchmarkReoptdHTTP|BenchmarkTemplateWorkload
+BENCH_HOTPATH_RE = BenchmarkSamplingEstimatePlan|BenchmarkHashJoinKeys|BenchmarkSamplingValidation|BenchmarkReoptimizeOTT|BenchmarkSessionReoptimizeOTT|BenchmarkReoptimizeMultiSeed|BenchmarkWorkloadCache|BenchmarkSessionWorkloadParallel|BenchmarkWorkloadScheduler|BenchmarkExecutorJoinRows|BenchmarkShardedValidation|BenchmarkReoptdHTTP|BenchmarkTemplateWorkload|BenchmarkCatalogBuild
 
 .PHONY: all vet build test race check lint chaos examples serve-smoke bench bench-smoke bench-hotpath bench-json bench-compare bench-baseline
 

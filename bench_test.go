@@ -750,3 +750,35 @@ func BenchmarkReoptdHTTP(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCatalogBuild times catalog set-up end to end: data
+// generation, index creation, ANALYZE and sample drawing, the work every
+// reoptd start or tenant catalog load pays before it can serve. tpch is
+// the skewed TPC-H Z=1 catalog; denseott is the dense OTT catalog of the
+// template benchmark (4 tables of 20k to 288k rows, full samples).
+func BenchmarkCatalogBuild(b *testing.B) {
+	builds := []struct {
+		name string
+		gen  func() (*reopt.Catalog, error)
+	}{
+		{"tpch", func() (*reopt.Catalog, error) {
+			return reopt.GenerateTPCH(reopt.TPCHConfig{Z: 1, Seed: 1})
+		}},
+		{"denseott", func() (*reopt.Catalog, error) {
+			return reopt.GenerateOTT(reopt.OTTConfig{
+				Seed: 1, NumTables: 4, RowsPerValue: 720,
+				Domains: []int{400, 360, 320, 28}, SampleRatio: 1.0,
+			})
+		}},
+	}
+	for _, bc := range builds {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.gen(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

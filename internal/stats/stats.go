@@ -8,13 +8,23 @@
 // two MCV lists, and conjunctions combine under the attribute-value-
 // independence (AVI) assumption.
 //
+// ANALYZE scans the whole table and is exact. For int and string columns
+// it reads every statistic off the column's stable value order
+// (storage.Table.ValueOrder, shared with the column's index when there is
+// one): n_distinct and the NULL fraction from the runs of equal values,
+// the MCV list from a sort of those runs by count, and the histogram
+// bounds by position from the runs left after the MCVs. Float and
+// mixed-kind columns count by Key and sort their values with Compare.
+//
 // The package also provides 2-D equi-width histograms used to reproduce
 // the paper's §5.3.1 argument that even multidimensional histograms
 // cannot detect the OTT correlation.
 package stats
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"reopt/internal/rel"
@@ -116,7 +126,80 @@ func AnalyzeColumn(t *storage.Table, pos int, opts AnalyzeOptions) *ColumnStats 
 		cs.mcvIndex = map[rel.ValueKey]float64{}
 		return cs
 	}
+	if o, ok := t.ValueOrder(pos); ok {
+		cs.analyzeOrder(t, pos, o, target, minCount)
+	} else {
+		cs.analyzeRows(t, pos, target, minCount)
+	}
+	return cs
+}
 
+// analyzeOrder reads the statistics off the column's value order: one
+// run per distinct value, runs in Compare order, so no value is hashed
+// or compared per row.
+func (cs *ColumnStats) analyzeOrder(t *storage.Table, pos int, o *storage.ValueOrder, target, minCount int) {
+	cs.NullFrac = float64(o.Nulls) / float64(cs.NumRows)
+	cs.NumDistinct = o.NumDistinct()
+	size := func(r int) int { return o.Runs[r+1] - o.Runs[r] }
+	value := func(r int) rel.Value { return t.Row(o.IDs[o.Runs[r]])[pos] }
+
+	// MCV list: the common runs sorted by count descending; the run
+	// index tie-break keeps equal counts in value order.
+	var common []int
+	for r := range cs.NumDistinct {
+		if size(r) >= minCount {
+			common = append(common, r)
+		}
+	}
+	slices.SortFunc(common, func(a, b int) int {
+		if c := cmp.Compare(size(b), size(a)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	common = common[:min(len(common), target)]
+	cs.mcvIndex = make(map[rel.ValueKey]float64, len(common))
+	inMCV := 0
+	for _, r := range common {
+		v, f := value(r), float64(size(r))/float64(cs.NumRows)
+		cs.MCV = append(cs.MCV, MCVEntry{Value: v, Freq: f})
+		cs.mcvIndex[v.Key()] = f
+		cs.mcvFreqSum += f
+		inMCV += size(r)
+	}
+
+	// Equi-depth histogram over the non-MCV runs, whose concatenation
+	// in value order is the sorted list of the remaining values: bound
+	// b is the value at position b*(rest-1)/buckets of that list.
+	rest := len(o.IDs) - inMCV
+	if rest == 0 {
+		return
+	}
+	slices.Sort(common)
+	buckets := min(target, rest)
+	bounds := make([]rel.Value, 0, buckets+1)
+	r, skip, seen := 0, 0, 0 // current run, next MCV run, values before r
+	for b := 0; b <= buckets; b++ {
+		i := b * (rest - 1) / buckets
+		for {
+			if skip < len(common) && common[skip] == r {
+				skip++
+			} else if seen+size(r) <= i {
+				seen += size(r)
+			} else {
+				break
+			}
+			r++
+		}
+		bounds = append(bounds, value(r))
+	}
+	cs.Hist = &Histogram{Bounds: bounds, TotalFrac: float64(rest) / float64(cs.NumRows)}
+}
+
+// analyzeRows is the per-row path for float and mixed-kind columns,
+// which have no value order (see storage.Table.ValueOrder): it counts by
+// Key and sorts the remaining values with Compare.
+func (cs *ColumnStats) analyzeRows(t *storage.Table, pos int, target, minCount int) {
 	counts := make(map[rel.ValueKey]int)
 	exemplar := make(map[rel.ValueKey]rel.Value)
 	nulls := 0
@@ -177,7 +260,6 @@ func AnalyzeColumn(t *storage.Table, pos int, opts AnalyzeOptions) *ColumnStats 
 		cs.Hist = buildHistogram(rest, target)
 		cs.Hist.TotalFrac = float64(len(rest)) / float64(cs.NumRows)
 	}
-	return cs
 }
 
 func buildHistogram(vals []rel.Value, buckets int) *Histogram {

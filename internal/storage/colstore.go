@@ -143,71 +143,61 @@ func (cs *ColStore) Shards(n int) []*ColStore {
 
 // BuildColStore computes the column-major projection of a table.
 func BuildColStore(t *Table) *ColStore {
-	n := t.NumRows()
-	width := t.Schema().Len()
-	cs := &ColStore{numRows: n, cols: make([]ColData, width)}
-	for pos := 0; pos < width; pos++ {
-		// One pass to find the uniform non-null kind, if any.
-		kind := rel.KindNull
-		mixed := false
-		hasNull := false
-		for _, row := range t.Rows() {
-			v := row[pos]
-			if v.IsNull() {
-				hasNull = true
-				continue
-			}
-			if kind == rel.KindNull {
-				kind = v.Kind()
-			} else if v.Kind() != kind {
-				mixed = true
-				break
-			}
-		}
-		col := &cs.cols[pos]
-		if mixed {
-			col.Kind = rel.KindNull
-			col.Vals = make([]rel.Value, n)
-			for i, row := range t.Rows() {
-				col.Vals[i] = row[pos]
-			}
-			continue
-		}
-		col.Kind = kind
-		if hasNull {
-			col.Nulls = make([]bool, n)
-			col.NullWords = make([]uint64, vec.NumWords(n))
-		}
-		switch kind {
-		case rel.KindInt:
-			col.Ints = make([]int64, n)
-		case rel.KindFloat:
-			col.Floats = make([]float64, n)
-		case rel.KindString:
-			col.Strs = make([]string, n)
-		default:
-			// All-NULL (or empty) column: Nulls (already allocated when
-			// any row is NULL) plus a zero Ints slice keeps accessors
-			// total.
-			col.Kind = rel.KindInt
-			col.Ints = make([]int64, n)
-		}
-		for i, row := range t.Rows() {
-			v := row[pos]
-			if v.IsNull() {
-				col.Nulls[i] = true
-				col.NullWords[i/vec.WordBits] |= 1 << (uint(i) % vec.WordBits)
-				continue
-			}
-			switch col.Kind {
-			case rel.KindInt:
-				col.Ints[i] = v.AsInt()
-			case rel.KindFloat:
-				col.Floats[i] = v.AsFloat()
-			case rel.KindString:
-				col.Strs[i] = v.AsString()
-			}
-		}
+	cs := &ColStore{numRows: t.NumRows(), cols: make([]ColData, t.Schema().Len())}
+	for pos := range cs.cols {
+		cs.cols[pos] = buildColumn(t.rows, pos)
 	}
 	return cs
+}
+
+// buildColumn computes one column of the projection in one pass over
+// the rows, typed by the first non-null value's kind; a later value of
+// another kind makes the column mixed.
+func buildColumn(rows []rel.Row, pos int) ColData {
+	n := len(rows)
+	col := ColData{Kind: rel.KindNull}
+	for i, row := range rows {
+		v := row[pos]
+		if v.IsNull() {
+			if col.Nulls == nil {
+				col.Nulls = make([]bool, n)
+				col.NullWords = make([]uint64, vec.NumWords(n))
+			}
+			col.Nulls[i] = true
+			col.NullWords[i/vec.WordBits] |= 1 << (uint(i) % vec.WordBits)
+			continue
+		}
+		if col.Kind == rel.KindNull {
+			col.Kind = v.Kind()
+			switch col.Kind {
+			case rel.KindInt:
+				col.Ints = make([]int64, n)
+			case rel.KindFloat:
+				col.Floats = make([]float64, n)
+			case rel.KindString:
+				col.Strs = make([]string, n)
+			}
+		}
+		switch {
+		case v.Kind() != col.Kind:
+			mixed := ColData{Kind: rel.KindNull, Vals: make([]rel.Value, n)}
+			for j, r := range rows {
+				mixed.Vals[j] = r[pos]
+			}
+			return mixed
+		case col.Kind == rel.KindInt:
+			col.Ints[i] = v.AsInt()
+		case col.Kind == rel.KindFloat:
+			col.Floats[i] = v.AsFloat()
+		default:
+			col.Strs[i] = v.AsString()
+		}
+	}
+	if col.Kind == rel.KindNull {
+		// All-NULL (or empty) column: Nulls (already allocated when any
+		// row is NULL) plus a zero Ints slice keeps accessors total.
+		col.Kind = rel.KindInt
+		col.Ints = make([]int64, n)
+	}
+	return col
 }

@@ -1,38 +1,50 @@
 package storage
 
 import (
-	"sort"
-
 	"reopt/internal/rel"
 )
 
-// Index is a secondary index over one column of a table. It maintains two
-// structures: a hash directory for O(1) point lookups (the common case in
-// the paper's workloads, which use only equality predicates) and a lazily
-// rebuilt sorted run for range scans and ordered iteration.
+// Index is a secondary index over one column of a table: a hash
+// directory from each distinct non-NULL key to its row ids in heap
+// order, serving the O(1) point lookups the paper's equality-only
+// workloads use. NULL rows are left out of the directory, since NULL
+// never matches. Reads mutate nothing, so an index is safe for
+// concurrent readers between appends.
 type Index struct {
 	table  *Table
 	column string
 	colPos int
 
+	// hash maps each key to its row ids. Entries built by CreateIndex
+	// are capped sub-slices of order.IDs, so a later Append reallocates
+	// the entry it extends instead of overwriting the next value's ids.
 	hash map[rel.ValueKey][]int
-
-	sorted      []indexEntry
-	sortedClean bool
+	// order is the value order the directory was built from, kept for
+	// ANALYZE to reuse; nil for float and mixed-kind columns and once a
+	// row has been appended.
+	order *ValueOrder
 }
 
-type indexEntry struct {
-	val rel.Value
-	id  int
-}
-
+// newIndex builds the index on column pos of t: one directory entry per
+// run of the column's value order, or, for float and mixed-kind
+// columns, one insert per row.
 func newIndex(t *Table, column string, pos int) *Index {
-	return &Index{
-		table:  t,
-		column: column,
-		colPos: pos,
-		hash:   make(map[rel.ValueKey][]int),
+	ix := &Index{table: t, column: column, colPos: pos}
+	o, ok := t.ValueOrder(pos)
+	if !ok {
+		ix.hash = make(map[rel.ValueKey][]int)
+		for id, row := range t.rows {
+			ix.insert(row[pos], id)
+		}
+		return ix
 	}
+	ix.order = o
+	ix.hash = make(map[rel.ValueKey][]int, o.NumDistinct())
+	for i := range o.NumDistinct() {
+		run := o.Run(i)
+		ix.hash[t.rows[run[0]][pos].Key()] = run
+	}
+	return ix
 }
 
 // Column returns the indexed column name.
@@ -42,10 +54,12 @@ func (ix *Index) Column() string { return ix.column }
 func (ix *Index) ColumnPos() int { return ix.colPos }
 
 func (ix *Index) insert(v rel.Value, id int) {
+	ix.order = nil
+	if v.IsNull() {
+		return
+	}
 	k := v.Key()
 	ix.hash[k] = append(ix.hash[k], id)
-	ix.sorted = append(ix.sorted, indexEntry{val: v, id: id})
-	ix.sortedClean = false
 }
 
 // Lookup returns the heap row ids whose indexed column equals v, in heap
@@ -58,18 +72,21 @@ func (ix *Index) Lookup(v rel.Value) []int {
 	return ix.hash[v.Key()]
 }
 
-// NumDistinct returns the number of distinct keys in the index.
+// NumDistinct returns the number of distinct non-NULL keys in the index,
+// the figure ANALYZE reports as the column's n_distinct.
 func (ix *Index) NumDistinct() int { return len(ix.hash) }
 
-// NumEntries returns the total number of indexed rows.
-func (ix *Index) NumEntries() int { return len(ix.sorted) }
+// NumEntries returns the total number of indexed rows. Like a B-tree,
+// the index the cost model charges for holds an entry for every row,
+// NULLs included; only the hash directory leaves NULLs out.
+func (ix *Index) NumEntries() int { return ix.table.NumRows() }
 
 // LeafPages approximates the number of index leaf pages, used by the cost
 // model for index scans. Index entries are denser than heap rows; we
 // assume 4x the heap fanout.
 func (ix *Index) LeafPages() int {
 	per := ix.table.rowsPerPage * 4
-	n := len(ix.sorted)
+	n := ix.NumEntries()
 	if n == 0 {
 		return 1
 	}
@@ -87,49 +104,4 @@ func (ix *Index) Height() int {
 		h++
 	}
 	return h
-}
-
-func (ix *Index) ensureSorted() {
-	if ix.sortedClean {
-		return
-	}
-	sort.SliceStable(ix.sorted, func(a, b int) bool {
-		return ix.sorted[a].val.Compare(ix.sorted[b].val) < 0
-	})
-	ix.sortedClean = true
-}
-
-// Range returns row ids whose indexed value v satisfies lo <= v <= hi
-// under Compare, in value order. A nil bound (rel.Null is not a valid
-// bound) is expressed by passing includeLo/includeHi=false with the
-// corresponding zero bound unused; callers in this codebase always pass
-// closed bounds, matching the equality-heavy workloads.
-func (ix *Index) Range(lo, hi rel.Value) []int {
-	ix.ensureSorted()
-	n := len(ix.sorted)
-	start := sort.Search(n, func(i int) bool {
-		return ix.sorted[i].val.Compare(lo) >= 0
-	})
-	end := sort.Search(n, func(i int) bool {
-		return ix.sorted[i].val.Compare(hi) > 0
-	})
-	if start >= end {
-		return nil
-	}
-	out := make([]int, 0, end-start)
-	for i := start; i < end; i++ {
-		out = append(out, ix.sorted[i].id)
-	}
-	return out
-}
-
-// Ordered returns all row ids in indexed-value order, for index-order
-// scans and merge joins.
-func (ix *Index) Ordered() []int {
-	ix.ensureSorted()
-	out := make([]int, len(ix.sorted))
-	for i, e := range ix.sorted {
-		out[i] = e.id
-	}
-	return out
 }

@@ -115,56 +115,6 @@ func TestDuplicateIndexRejected(t *testing.T) {
 	}
 }
 
-func TestIndexRange(t *testing.T) {
-	tab := makeTable(t, 100)
-	idx, err := tab.CreateIndex("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := idx.Range(rel.Int(3), rel.Int(5))
-	if len(ids) != 30 {
-		t.Fatalf("range [3,5]: %d ids, want 30", len(ids))
-	}
-	prev := int64(-1)
-	for _, id := range ids {
-		k := tab.Row(id)[0].AsInt()
-		if k < 3 || k > 5 {
-			t.Errorf("row %d key %d out of range", id, k)
-		}
-		if k < prev {
-			t.Error("range output not value-ordered")
-		}
-		prev = k
-	}
-	if got := idx.Range(rel.Int(50), rel.Int(60)); got != nil {
-		t.Errorf("empty range returned %d ids", len(got))
-	}
-	if got := idx.Range(rel.Int(5), rel.Int(3)); got != nil {
-		t.Error("inverted range should be empty")
-	}
-}
-
-func TestIndexOrdered(t *testing.T) {
-	tab := NewTable("t", rel.NewSchema(rel.Column{Name: "k", Kind: rel.KindInt}))
-	vals := []int64{5, 3, 9, 1, 7}
-	for _, v := range vals {
-		tab.MustAppend(rel.Row{rel.Int(v)})
-	}
-	idx, err := tab.CreateIndex("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := idx.Ordered()
-	prev := int64(-1)
-	for _, id := range ids {
-		k := tab.Row(id)[0].AsInt()
-		if k < prev {
-			t.Fatalf("not ordered: %d after %d", k, prev)
-		}
-		prev = k
-	}
-}
-
 func TestSampleRatioBounds(t *testing.T) {
 	tab := makeTable(t, 1000)
 	s0 := tab.Sample("s0", 0, 1)

@@ -1,7 +1,8 @@
 // Package storage implements the in-memory storage engine: heap tables
 // with page-granular accounting (so the cost model has real page counts
-// to work with), secondary indexes supporting point and range lookups,
-// and Bernoulli table sampling for the sampling-based estimator.
+// to work with), hash secondary indexes for point lookups, each column's
+// stable value order that index creation and ANALYZE share, and
+// Bernoulli table sampling for the sampling-based estimator.
 package storage
 
 import (
@@ -152,9 +153,6 @@ func (t *Table) CreateIndex(column string) (*Index, error) {
 		return nil, err
 	}
 	idx := newIndex(t, column, pos)
-	for id, row := range t.rows {
-		idx.insert(row[pos], id)
-	}
 	t.indexes[column] = idx
 	return idx, nil
 }
@@ -192,8 +190,7 @@ func (t *Table) Sample(name string, ratio float64, seed int64) *Table {
 	return s
 }
 
-// ColumnValues returns all values of one column, in heap order; used by
-// ANALYZE to build statistics.
+// ColumnValues returns all values of one column, in heap order.
 func (t *Table) ColumnValues(pos int) []rel.Value {
 	out := make([]rel.Value, len(t.rows))
 	for i, row := range t.rows {
